@@ -55,6 +55,13 @@ TEST(StormDeterminism, SameSeedReproducesTheExactDecisionStream) {
     EXPECT_NE(first.decisionDigest, 0u);
 }
 
+TEST(StormDeterminism, DecisionDigestIsPinned) {
+    // A checked-in constant, not a run-vs-run comparison: a dispatch or
+    // admission change that moves every run alike still fails here.
+    EXPECT_EQ(runStorm(stressConfig()).decisionDigest,
+              0x7ce3b75670ea96dcULL);
+}
+
 TEST(StormDeterminism, DifferentSeedsDivergeInTheDigest) {
     StormConfig config = stressConfig();
     const StormReport base = runStorm(config);

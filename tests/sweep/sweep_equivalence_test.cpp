@@ -14,6 +14,7 @@
 #include "core/whatif.hpp"
 #include "exec/worker_pool.hpp"
 #include "netbase/rng.hpp"
+#include "persist/bytes.hpp"
 #include "routing/oracle_cache.hpp"
 #include "sweep/scenario_sweep.hpp"
 #include "topo/generator.hpp"
@@ -281,6 +282,93 @@ TEST(SweepEquivalence, OverlayScenariosMatchPerScenarioEngines) {
                                "overlay threads=" + std::to_string(threads));
         EXPECT_EQ(result.stats.overlayScenarios, 2U);
     }
+}
+
+/// FNV-1a over every field of every report, doubles bit for bit.
+std::uint64_t reportsDigest(std::span<const outage::ImpactReport> reports) {
+    persist::ByteWriter out;
+    for (const outage::ImpactReport& report : reports) {
+        out.u8(static_cast<std::uint8_t>(report.event.type));
+        out.f64(report.event.startDay);
+        out.f64(report.event.durationDays);
+        for (const phys::CableId cable : report.event.cutCables) {
+            out.u64(static_cast<std::uint64_t>(cable));
+        }
+        for (const outage::CountryImpact& impact : report.countries) {
+            out.str(impact.country);
+            out.f64(impact.pageLoadLoss);
+            out.f64(impact.dnsFailureShare);
+            out.f64(impact.effectiveOutageDays);
+        }
+    }
+    return persist::fnv1a64(out.bytes());
+}
+
+TEST(SweepEquivalence, OverlayShapesMatchAPinnedDigest) {
+    // Both sides of the overlay differential — per-scenario engines and
+    // the sweep's overlay lane — against a checked-in constant, one
+    // scenario per overlay shape, so neither side can move unnoticed.
+    const topo::Topology topo =
+        topo::TopologyGenerator{sizedConfig(13, true)}.generate();
+    const core::Substrate substrate{
+        topo, phys::CableRegistry::africanDefaults(),
+        dns::DnsConfig::defaults(), content::ContentConfig::defaults()};
+
+    phys::SubseaCable shield;
+    shield.name = "TestShield";
+    shield.readyForService = 2026;
+    shield.capacityTbps = 100.0;
+    for (const auto code : {"PT", "SN", "CI", "GH", "NG", "ZA"}) {
+        shield.landings.push_back(phys::LandingStation{
+            std::string{code},
+            net::CountryTable::world().byCode(code).centroid});
+    }
+    const std::vector<std::string> corridor = {"WACS", "MainOne", "SAT-3",
+                                               "ACE"};
+
+    std::vector<core::ScenarioSpec> specs(5);
+    specs[0].name = "cable-added";
+    specs[0].cutCables = corridor;
+    specs[0].cablesAdded = {shield};
+    specs[1].name = "dns-override";
+    specs[1].cutCables = corridor;
+    specs[1].dnsOverride = dns::DnsConfig::defaults();
+    for (auto& profile : specs[1].dnsOverride->africa) {
+        profile = dns::ResolverProfile{0.6, 0.1, 0.2, 0.05, 0.05};
+    }
+    specs[2].name = "content-override";
+    specs[2].cutCables = corridor;
+    specs[2].contentOverride = content::ContentConfig::defaults();
+    for (auto& profile : specs[2].contentOverride->africa) {
+        profile = content::HostingProfile{0.4, 0.2, 0.1, 0.2, 0.1};
+    }
+    specs[3].name = "link-map-override";
+    specs[3].cutCables = corridor;
+    specs[3].linkMapOverride =
+        phys::LinkMapConfig{.terrestrialProb = 0.7,
+                            .backupProb = 0.9,
+                            .backupSameCorridorProb = 0.2};
+    specs[4].name = "add-only";
+    specs[4].cablesAdded = {shield};
+
+    const core::WhatIfEngine base{substrate};
+    std::vector<outage::ImpactReport> viaEngine;
+    for (const core::ScenarioSpec& spec : specs) {
+        const core::WhatIfEngine engine = base.withScenario(spec);
+        viaEngine.push_back(
+            engine.assess(spec.makeEvent(engine.registry()).valueOrRaise()));
+    }
+
+    const SweepResult result = ScenarioSweepEngine{substrate}.run(specs);
+    ASSERT_EQ(result.stats.overlayScenarios, specs.size());
+    std::vector<outage::ImpactReport> viaSweep;
+    for (const ScenarioResult& scenario : result.scenarios) {
+        viaSweep.push_back(scenario.outcome.value());
+    }
+
+    constexpr std::uint64_t kPinned = 0x4d535161a87d8406ULL;
+    EXPECT_EQ(reportsDigest(viaEngine), kPinned);
+    EXPECT_EQ(reportsDigest(viaSweep), kPinned);
 }
 
 TEST(SweepEquivalence, ShardedStoragePolicyIsByteIdentical) {
