@@ -125,9 +125,6 @@ Substrate::Substrate(const topo::Topology& topology,
     if (!valid) {
         valid.error().raise();
     }
-    // The same derivation chain (and seed offsets) the legacy
-    // WhatIfEngine constructor used, so a Substrate-built engine is
-    // byte-identical to a legacy-built one.
     net::Rng mapRng{options_.seed};
     linkMap_ = std::make_unique<phys::PhysicalLinkMap>(
         *topo_, *registry_, mapRng, options_.linkConfig);
@@ -153,16 +150,20 @@ Substrate::tryCreate(const topo::Topology& topology,
                      contentConfig, options};
 }
 
-outage::ImpactAnalyzer
-Substrate::impactAnalyzer(std::optional<outage::ImpactConfig> config) const {
-    return outage::ImpactAnalyzer{*topo_,
-                                  *linkMap_,
-                                  *resolvers_,
-                                  *catalog_,
-                                  config.value_or(options_.impact),
-                                  options_.oracleCache,
-                                  options_.pool,
-                                  options_.metrics};
+Substrate Substrate::withOverlay(const ScenarioSpec& spec,
+                                 route::OracleCache* oracleCache,
+                                 exec::WorkerPool* pool) const {
+    phys::CableRegistry registry = *registry_;
+    for (const phys::SubseaCable& cable : spec.cablesAdded) {
+        registry.addCable(cable);
+    }
+    Options options = options_;
+    options.linkConfig = spec.linkMapOverride.value_or(options_.linkConfig);
+    options.oracleCache = oracleCache;
+    options.pool = pool;
+    return Substrate{*topo_, std::move(registry),
+                     spec.dnsOverride.value_or(dnsConfig_),
+                     spec.contentOverride.value_or(contentConfig_), options};
 }
 
 net::Expected<std::vector<phys::CableId>>

@@ -23,23 +23,21 @@ namespace aio::core {
 /// The one substrate bundle every scenario-evaluation entry point builds
 /// from: topology + cable registry + DNS/content/link-map configuration +
 /// derivation seed, plus the optional shared accelerators (route cache,
-/// worker pool, metrics registry). Before this type existed,
-/// `WhatIfEngine`, `ImpactAnalyzer`, `CampaignSupervisor` and every bench
-/// hand-assembled the same bundle through divergent constructor
-/// signatures; now they all construct from a Substrate (the old
-/// constructors remain as deprecated forwarding shims for one PR — see
-/// DESIGN.md §10 for the schedule).
+/// worker pool, metrics registry). `WhatIfEngine`, the sweep engine, the
+/// planner and the service snapshot all evaluate against a Substrate;
+/// `withOverlay()` is the one way to derive a scenario's variant of it.
 ///
 /// A Substrate owns the baseline derived layers (physical link map,
 /// resolver ecosystem, content catalog, impact analyzer), built exactly
-/// once with the same seed derivation the legacy constructors used — so
-/// engines sharing a Substrate share one baseline instead of re-deriving
-/// it per engine, and results stay byte-identical to the legacy path.
+/// once from fixed seed offsets — so engines sharing a Substrate share
+/// one baseline instead of re-deriving it per engine, and an overlay
+/// differs from its parent only where the scenario changed a layer.
 ///
 /// Configuration is validated at construction (profile shares must be
 /// sane, probabilities in range, accelerators bound to the same
 /// topology): a bad bundle fails before any scenario runs, not mid-sweep.
 class Substrate;
+struct ScenarioSpec;
 
 /// Optional Substrate knobs beyond the four mandatory layers (namespace
 /// scope so it is complete where Substrate's constructors default it).
@@ -134,13 +132,16 @@ public:
         return *analyzer_;
     }
 
-    /// A fresh ImpactAnalyzer over the substrate's baseline layers —
-    /// the Substrate-first way to construct one (the analyzer's
-    /// seven-argument constructor is the legacy spelling). `config`
-    /// defaults to the substrate's impact config.
-    [[nodiscard]] outage::ImpactAnalyzer
-    impactAnalyzer(std::optional<outage::ImpactConfig> config =
-                       std::nullopt) const;
+    /// This substrate with `spec`'s overlay applied: its cables added to
+    /// the registry and each set override replacing the matching config.
+    /// Topology, seed, impact config and metrics carry over; the route
+    /// cache and pool are the caller's explicit choice. The layers are
+    /// re-derived from the same seeds, so before/after differences
+    /// isolate the overlay. Throws net::PreconditionError on an override
+    /// validate() would reject.
+    [[nodiscard]] Substrate withOverlay(const ScenarioSpec& spec,
+                                        route::OracleCache* oracleCache,
+                                        exec::WorkerPool* pool) const;
 
 private:
     const topo::Topology* topo_;
@@ -165,10 +166,11 @@ private:
 /// One named what-if scenario as a value: an overlay over a Substrate
 /// (cables added, cable cuts applied, DNS/content/link-map overrides) plus
 /// the repair policy for the cut. A batch of ScenarioSpecs is the unit the
-/// ScenarioSweepEngine evaluates; a single spec can also be applied to a
-/// WhatIfEngine (`WhatIfEngine::withScenario`). Specs validate against a
-/// Substrate and return the failure as a value, so one malformed scenario
-/// in a sweep degrades that scenario, not the batch.
+/// ScenarioSweepEngine evaluates; a single spec's overlay derives a
+/// Substrate (`Substrate::withOverlay`, behind
+/// `WhatIfEngine::withScenario` and the sweep's overlay lane). Specs
+/// validate against a Substrate and return the failure as a value, so one
+/// malformed scenario in a sweep degrades that scenario, not the batch.
 struct ScenarioSpec {
     std::string name;
 

@@ -7,99 +7,14 @@
 namespace aio::core {
 
 WhatIfEngine::WhatIfEngine(const Substrate& substrate)
-    : topo_(&substrate.topology()), registry_(substrate.registry()),
-      dnsConfig_(substrate.dnsConfig()),
-      contentConfig_(substrate.contentConfig()),
-      linkConfig_(substrate.linkConfig()), seed_(substrate.seed()),
-      oracleCache_(substrate.oracleCache()), pool_(substrate.pool()),
-      metrics_(substrate.metrics()), impactConfig_(substrate.impactConfig()),
-      resolversView_(&substrate.resolvers()),
-      catalogView_(&substrate.catalog()),
-      analyzerView_(&substrate.analyzer()) {}
-
-WhatIfEngine::WhatIfEngine(const topo::Topology& topology,
-                           phys::CableRegistry registry,
-                           dns::DnsConfig dnsConfig,
-                           content::ContentConfig contentConfig,
-                           phys::LinkMapConfig linkConfig,
-                           std::uint64_t seed,
-                           route::OracleCache* oracleCache,
-                           exec::WorkerPool* pool,
-                           obs::MetricsRegistry* metrics,
-                           outage::ImpactConfig impactConfig)
-    : topo_(&topology), registry_(std::move(registry)),
-      dnsConfig_(dnsConfig), contentConfig_(contentConfig),
-      linkConfig_(linkConfig), seed_(seed), oracleCache_(oracleCache),
-      pool_(pool), metrics_(metrics), impactConfig_(impactConfig) {
-    AIO_EXPECTS(oracleCache == nullptr ||
-                    &oracleCache->topology() == &topology,
-                "oracle cache bound to a different topology");
-    rebuild();
-}
-
-void WhatIfEngine::rebuild() {
-    // Derivation seeds match Substrate's layer construction exactly, so
-    // legacy-constructed and Substrate-borrowed engines are byte-identical
-    // (locked by the API-migration test).
-    net::Rng mapRng{seed_};
-    linkMap_ = std::make_unique<phys::PhysicalLinkMap>(*topo_, registry_,
-                                                       mapRng, linkConfig_);
-    resolvers_ = std::make_unique<dns::ResolverEcosystem>(*topo_, dnsConfig_,
-                                                          seed_ + 1);
-    catalog_ = std::make_unique<content::ContentCatalog>(
-        *topo_, contentConfig_, seed_ + 2);
-    analyzer_ = std::make_unique<outage::ImpactAnalyzer>(
-        *topo_, *linkMap_, *resolvers_, *catalog_, impactConfig_,
-        oracleCache_, pool_, metrics_);
-    resolversView_ = resolvers_.get();
-    catalogView_ = catalog_.get();
-    analyzerView_ = analyzer_.get();
-}
-
-WhatIfEngine WhatIfEngine::withCable(phys::SubseaCable cable) const {
-    phys::CableRegistry registry = registry_;
-    registry.addCable(std::move(cable));
-    return WhatIfEngine{*topo_,        std::move(registry), dnsConfig_,
-                        contentConfig_, linkConfig_,        seed_,
-                        oracleCache_,   pool_,              metrics_,
-                        impactConfig_};
-}
+    : substrate_(&substrate) {}
 
 WhatIfEngine WhatIfEngine::withScenario(const ScenarioSpec& spec) const {
-    phys::CableRegistry registry = registry_;
-    for (const phys::SubseaCable& cable : spec.cablesAdded) {
-        registry.addCable(cable);
-    }
-    return WhatIfEngine{*topo_,
-                        std::move(registry),
-                        spec.dnsOverride.value_or(dnsConfig_),
-                        spec.contentOverride.value_or(contentConfig_),
-                        spec.linkMapOverride.value_or(linkConfig_),
-                        seed_,
-                        oracleCache_,
-                        pool_,
-                        metrics_,
-                        impactConfig_};
-}
-
-WhatIfEngine WhatIfEngine::withDnsConfig(dns::DnsConfig config) const {
-    return WhatIfEngine{*topo_,      registry_,    config, contentConfig_,
-                        linkConfig_, seed_,        oracleCache_,
-                        pool_,       metrics_,     impactConfig_};
-}
-
-WhatIfEngine
-WhatIfEngine::withContentConfig(content::ContentConfig config) const {
-    return WhatIfEngine{*topo_,      registry_, dnsConfig_, config,
-                        linkConfig_, seed_,     oracleCache_,
-                        pool_,       metrics_,  impactConfig_};
-}
-
-WhatIfEngine
-WhatIfEngine::withLinkMapConfig(phys::LinkMapConfig config) const {
-    return WhatIfEngine{*topo_, registry_, dnsConfig_, contentConfig_,
-                        config, seed_,     oracleCache_, pool_,
-                        metrics_, impactConfig_};
+    auto overlay = std::make_unique<const Substrate>(substrate_->withOverlay(
+        spec, substrate_->oracleCache(), substrate_->pool()));
+    WhatIfEngine engine{*overlay};
+    engine.owned_ = std::move(overlay);
+    return engine;
 }
 
 net::Expected<outage::OutageEvent>
@@ -117,7 +32,7 @@ WhatIfEngine::tryMakeCutEvent(std::span<const std::string> cableNames,
     event.durationDays = repairDays;
     // Canonical (sorted, deduplicated) so permuted or duplicated cut
     // lists build the same event and hence byte-identical reports.
-    auto cuts = canonicalCutSet(registry_, cableNames);
+    auto cuts = canonicalCutSet(substrate_->registry(), cableNames);
     if (!cuts) {
         return cuts.error();
     }
@@ -133,21 +48,22 @@ WhatIfEngine::makeCutEvent(std::span<const std::string> cableNames,
 
 outage::ImpactReport
 WhatIfEngine::assess(const outage::OutageEvent& event) const {
-    const obs::ScopedTimer timer{metrics_, "whatif.assess_seconds"};
-    net::Rng rng{seed_ + 7};
-    return analyzerView_->assess(event, rng);
+    const obs::ScopedTimer timer{substrate_->metrics(),
+                                 "whatif.assess_seconds"};
+    net::Rng rng{substrate_->seed() + 7};
+    return substrate_->analyzer().assess(event, rng);
 }
 
 double WhatIfEngine::contentLocalShare() const {
-    const content::LocalityAnalyzer locality{*catalogView_};
+    const content::LocalityAnalyzer locality{substrate_->catalog()};
     return locality.overallLocalShare();
 }
 
 double
 WhatIfEngine::dnsFailureShare(std::string_view country,
                               const outage::OutageEvent& event) const {
-    net::Rng rng{seed_ + 7};
-    const auto report = analyzerView_->assess(event, rng);
+    net::Rng rng{substrate_->seed() + 7};
+    const auto report = substrate_->analyzer().assess(event, rng);
     for (const auto& impact : report.countries) {
         if (impact.country == country) {
             return impact.dnsFailureShare;

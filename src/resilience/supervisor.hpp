@@ -4,7 +4,6 @@
 #include <span>
 
 #include "core/observatory.hpp"
-#include "core/substrate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "persist/journal.hpp"
@@ -109,15 +108,6 @@ public:
                                 obs::MetricsRegistry* metrics = nullptr,
                                 obs::Trace* trace = nullptr);
 
-    /// Substrate-first spelling: metrics come from the substrate's shared
-    /// registry, and routableTaskShare() can default to the substrate's
-    /// oracle cache. The four-argument constructor above remains as a
-    /// deprecated shim for one PR (DESIGN.md §10).
-    CampaignSupervisor(const core::Observatory& observatory,
-                       const core::Substrate& substrate,
-                       SupervisorConfig config = {},
-                       obs::Trace* trace = nullptr);
-
     /// Runs `tasks` under the injector's fault timeline.
     [[nodiscard]] core::CampaignResult
     run(std::span<const core::CampaignTask> tasks, FaultInjector& injector,
@@ -175,13 +165,6 @@ public:
                       const route::LinkFilter& scenario,
                       route::OracleCache& cache) const;
 
-    /// Substrate-constructed supervisors carry the substrate's oracle
-    /// cache, so scenario sweeps don't have to thread one through; throws
-    /// net::PreconditionError when no cache was wired in.
-    [[nodiscard]] double
-    routableTaskShare(std::span<const core::CampaignTask> tasks,
-                      const route::LinkFilter& scenario) const;
-
     [[nodiscard]] const SupervisorConfig& config() const { return config_; }
     [[nodiscard]] const core::Observatory& observatory() const {
         return *observatory_;
@@ -192,7 +175,6 @@ private:
     SupervisorConfig config_;
     obs::MetricsRegistry* metrics_ = nullptr;
     obs::Trace* trace_ = nullptr;
-    route::OracleCache* cache_ = nullptr; ///< substrate-provided default
 };
 
 /// Fills `result.degradation.coverageVsOracle` with the share of the

@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "netbase/error.hpp"
 #include "routing/route_oracle.hpp"
 #include "topo/as_graph.hpp"
 
@@ -101,6 +102,7 @@ public:
 
     [[nodiscard]] std::int32_t nextHopOf(topo::AsIndex src,
                                          topo::AsIndex dst) const override {
+        AIO_EXPECTS(src < n_ && dst < n_, "AS index OOB");
         return nextHop_[dst * n_ + src];
     }
     [[nodiscard]] RouteClass routeClass(topo::AsIndex src,

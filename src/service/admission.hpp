@@ -26,11 +26,11 @@ struct TenantQuota {
 struct AdmissionConfig {
     /// Bounded queue: submissions past this are rejected QueueFull.
     std::size_t queueCapacity = 64;
-    /// Queue-depth watermark at which heavy kinds (WhatIf/Sweep) shed
-    /// with Overloaded while light queries still board. Must not exceed
+    /// Queue-depth watermark at which heavy workloads (WorkloadInfo::heavy)
+    /// shed with Overloaded while light ones still board. Must not exceed
     /// queueCapacity.
     std::size_t shedQueueDepth = 48;
-    /// Resident-byte watermark: above it heavy kinds shed with
+    /// Resident-byte watermark: above it heavy workloads shed with
     /// MemoryPressure (the ladder also shrinks cache budgets — that part
     /// is the service's, not the controller's). 0 disables.
     std::uint64_t shedResidentBytes = 0;
@@ -67,7 +67,10 @@ struct AdmissionDecision {
 /// load-shed watermarks (queue depth + resident bytes), per-tenant
 /// budget metering through TariffMeter, and deadline pre-flight. Pure
 /// decision logic over caller-supplied load facts — single-threaded by
-/// design; the service serializes calls under its own queue lock.
+/// design; the service serializes calls under its own queue lock. Which
+/// workloads exist, which are heavy and what they cost by default is the
+/// bound WorkloadRegistry's to say; a controller decides nothing until
+/// one is bound.
 class AdmissionController {
 public:
     /// `metrics` (optional, not owned) receives `service.admitted` and
@@ -81,14 +84,15 @@ public:
 
     /// Binds the workload registry (not owned, must outlive the
     /// controller) that decides heaviness, deadline policy and default
-    /// costs by name. Unbound, the controller falls back to the legacy
-    /// RequestKind switch — same decisions for the three legacy kinds.
+    /// costs by name. Required before decide() or costMbFor().
     void bindRegistry(const WorkloadRegistry* registry) {
         registry_ = registry;
     }
 
     /// Decides one submission given the current load facts. Admission
-    /// bills the request's megabytes against the tenant's meter.
+    /// bills the request's megabytes against the tenant's meter; a
+    /// workload name the registry does not know is UnknownWorkload.
+    /// Throws net::PreconditionError when no registry is bound.
     [[nodiscard]] AdmissionDecision
     decide(const ServiceRequest& request, std::uint64_t nowNanos,
            std::size_t queueDepth, std::uint64_t residentBytes);
@@ -96,7 +100,8 @@ public:
     /// Billable megabytes for `request`: delegates to the bound
     /// registry's per-workload attributes (the resolution the ledger
     /// records too — one seam, so estimate and billing cannot
-    /// disagree); legacy per-kind switch when unbound.
+    /// disagree). Throws net::PreconditionError when no registry is
+    /// bound.
     [[nodiscard]] double costMbFor(const ServiceRequest& request) const;
 
     [[nodiscard]] double spentUsd(std::string_view tenant) const;

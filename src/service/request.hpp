@@ -15,46 +15,24 @@
 
 namespace aio::service {
 
-/// Legacy closed request taxonomy, kept as a compatibility shim: a
-/// request with an empty `workload` dispatches by `kind` through the
-/// WorkloadRegistry's builtin of the same name ("query" / "whatif" /
-/// "sweep"), with byte-identical admission decisions and ledger charges.
-/// New callers name the workload directly; new workloads (plan,
-/// estimate, tenant registrations) exist only by name.
-enum class RequestKind : std::uint8_t {
-    Query, ///< baseline next-hop/reachability lookup (light)
-    WhatIf, ///< one scenario through the sweep engine (heavy)
-    Sweep ///< a scenario batch through the sweep engine (heavy)
-};
-
-[[nodiscard]] std::string_view requestKindName(RequestKind kind);
-
-/// True for the kinds the degradation ladder sheds first under load.
-/// Deprecated: the heavy/light split is a WorkloadRegistry attribute now
-/// (WorkloadInfo::heavy); this shim only covers the three legacy kinds.
-[[deprecated("heaviness is a WorkloadInfo attribute; consult the "
-             "WorkloadRegistry")]] [[nodiscard]] constexpr bool
-isHeavy(RequestKind kind) {
-    return kind != RequestKind::Query;
-}
-
 /// One tenant request. `seq` is assigned by the service at submission
 /// (the ledger's idempotency key); callers leave it zero.
 struct ServiceRequest {
     std::string tenant;
-    /// Named workload to dispatch to. Empty = legacy shim: the enum
-    /// `kind` below names the builtin ("query"/"whatif"/"sweep").
+    /// Named workload to dispatch to ("query", "whatif", "sweep",
+    /// "estimate", "plan" or a registered one). A name the service's
+    /// WorkloadRegistry does not know, the empty name included, is
+    /// rejected UnknownWorkload at admission.
     std::string workload;
-    RequestKind kind = RequestKind::Query;
 
     /// Query payload: baseline route lookup endpoints.
     topo::AsIndex src = 0;
     topo::AsIndex dst = 0;
 
-    /// WhatIf (one entry) / Sweep (batch) payload.
+    /// whatif (one entry) / sweep (batch) payload.
     std::vector<core::ScenarioSpec> scenarios;
 
-    /// Plan/Estimate payload: a textual MeasurementQuestion in the
+    /// plan/estimate payload: a textual MeasurementQuestion in the
     /// plan/textio format. Parse errors resolve the request as Failed
     /// with the typed line/field message.
     std::string questionText;
@@ -67,7 +45,8 @@ struct ServiceRequest {
 
     /// Billable megabytes this request meters against the tenant's
     /// budget (through the same TariffMeter/PricingModel the probe
-    /// scheduler bills with). 0 = use the service's per-kind default.
+    /// scheduler bills with). 0 = use the workload's default
+    /// (WorkloadInfo::defaultCostMb).
     double costMb = 0.0;
 
     std::uint64_t seq = 0; ///< service-assigned, not caller-set
@@ -78,7 +57,7 @@ struct ServiceRequest {
 enum class RejectReason : std::uint8_t {
     None,
     QueueFull,        ///< bounded queue at capacity; retry after backoff
-    Overloaded,       ///< heavy kinds shed at the queue-depth watermark
+    Overloaded,       ///< heavy workloads shed at the depth watermark
     MemoryPressure,   ///< resident bytes above the shed watermark
     BudgetExhausted,  ///< tenant's budget cannot pay for this request
     DeadlineUnmeetable, ///< deadline at or before the service clock now

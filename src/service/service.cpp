@@ -292,8 +292,7 @@ ServiceResponse ObservatoryService::execute(Pending& pending) {
         // Admission already vetted the name; a lookup miss here would be
         // a registry mutation after serving started, which
         // registerWorkload forbids.
-        registry_.handler(workloadNameOf(request))(context, request,
-                                                   response);
+        registry_.handler(request.workload)(context, request, response);
         response.status = ResponseStatus::Ok;
         const std::lock_guard<std::mutex> lock{mutex_};
         ++completed_;

@@ -118,7 +118,7 @@ StormReport runStorm(const StormConfig& config) {
         const double kindDraw = rng.uniform01();
         const double heavyDraw = rng.uniform01();
         if (kindDraw < config.queryProb) {
-            request.kind = RequestKind::Query;
+            request.workload = "query";
             const auto asCount = static_cast<std::uint64_t>(
                 pool.front()->topology().asCount());
             request.src =
@@ -126,10 +126,10 @@ StormReport runStorm(const StormConfig& config) {
             request.dst =
                 static_cast<topo::AsIndex>(rng.uniformInt(asCount));
         } else if (heavyDraw < config.whatIfShare) {
-            request.kind = RequestKind::WhatIf;
+            request.workload = "whatif";
             request.scenarios = {stormScenario(rng, report.submitted)};
         } else {
-            request.kind = RequestKind::Sweep;
+            request.workload = "sweep";
             for (std::size_t s = 0; s < config.sweepScenarios; ++s) {
                 request.scenarios.push_back(
                     stormScenario(rng, report.submitted));

@@ -130,10 +130,9 @@ WorkloadRegistry::resolveCostMb(const ServiceRequest& request) const {
     if (request.costMb > 0.0) {
         return request.costMb;
     }
-    const WorkloadInfo* info = find(workloadNameOf(request));
+    const WorkloadInfo* info = find(request.workload);
     if (info == nullptr) {
-        net::Error::notFound("unknown workload '" +
-                             std::string{workloadNameOf(request)} + "'")
+        net::Error::notFound("unknown workload '" + request.workload + "'")
             .raise();
     }
     if (info->perScenario) {
@@ -150,11 +149,6 @@ std::vector<std::string> WorkloadRegistry::names() const {
         names.push_back(name);
     }
     return names;
-}
-
-std::string_view workloadNameOf(const ServiceRequest& request) {
-    return request.workload.empty() ? requestKindName(request.kind)
-                                    : std::string_view{request.workload};
 }
 
 } // namespace aio::service

@@ -24,8 +24,7 @@ enum class DeadlinePolicy : std::uint8_t {
 
 [[nodiscard]] std::string_view deadlinePolicyName(DeadlinePolicy policy);
 
-/// Admission-relevant attributes of one named workload. This is the
-/// open replacement for the closed RequestKind switch: the degradation
+/// Admission-relevant attributes of one named workload: the degradation
 /// ladder sheds on `heavy`, and `defaultCostMb` is THE single source of
 /// the costMb == 0 default — admission bills through it and the ledger
 /// records the same resolution, so estimate and billing cannot disagree.
@@ -35,8 +34,8 @@ struct WorkloadInfo {
     bool heavy = true;
     /// Billable megabytes when the request leaves costMb zero.
     double defaultCostMb = 0.0;
-    /// Multiply defaultCostMb by the request's scenario count (the
-    /// legacy sweep billing shape).
+    /// Multiply defaultCostMb by the request's scenario count (the sweep
+    /// billing shape).
     bool perScenario = false;
     DeadlinePolicy deadline = DeadlinePolicy::Optional;
 };
@@ -55,11 +54,11 @@ struct WorkloadContext {
 using WorkloadHandler = std::function<void(
     const WorkloadContext&, const ServiceRequest&, ServiceResponse&)>;
 
-/// Named-workload dispatch table: the service API's extension point.
-/// Query/WhatIf/Sweep are plain builtin registrations (the legacy enum
-/// forwards here by name); Plan/Estimate are the first workloads that
-/// exist only as registrations. Immutable once the service starts
-/// serving, so handlers read it lock-free.
+/// Named-workload dispatch table: the service API's one dispatch path
+/// and its extension point. The builtins (query, whatif, sweep,
+/// estimate, plan) are plain registrations like any tenant workload.
+/// Immutable once the service starts serving, so handlers read it
+/// lock-free.
 class WorkloadRegistry {
 public:
     /// Registers (or replaces) one workload. Throws net::PreconditionError
@@ -98,9 +97,5 @@ private:
     /// std::map: deterministic names() order for tests and digests.
     std::map<std::string, Entry, std::less<>> entries_;
 };
-
-/// The dispatch name of a request: its `workload` when set, else the
-/// legacy enum shim's name ("query"/"whatif"/"sweep").
-[[nodiscard]] std::string_view workloadNameOf(const ServiceRequest& request);
 
 } // namespace aio::service

@@ -92,11 +92,15 @@ TEST(WhatIfScenarioCache, ColdAndWarmSweepsReplayIdentically) {
     exec::WorkerPool pool;
     route::OracleCache cache{topo, 16, &pool};
 
-    const WhatIfEngine cached{topo, phys::CableRegistry::africanDefaults(),
-                              dns::DnsConfig::defaults(),
-                              content::ContentConfig::defaults(),
-                              phys::LinkMapConfig{}, 99, &cache, &pool};
-    // Engine construction fetches the no-failure baseline through the
+    Substrate::Options options;
+    options.oracleCache = &cache;
+    options.pool = &pool;
+    const Substrate cachedSubstrate{
+        topo, phys::CableRegistry::africanDefaults(),
+        dns::DnsConfig::defaults(), content::ContentConfig::defaults(),
+        options};
+    const WhatIfEngine cached{cachedSubstrate};
+    // Substrate construction fetches the no-failure baseline through the
     // cache: exactly one miss so far.
     EXPECT_EQ(cache.stats().misses, 1U);
     EXPECT_EQ(cache.stats().hits, 0U);
@@ -130,9 +134,10 @@ TEST(WhatIfScenarioCache, ColdAndWarmSweepsReplayIdentically) {
     // A cacheless engine is the golden reference: cold, warm and
     // uncached assessments must agree to the bit (same seeds, same
     // routing states).
-    const WhatIfEngine plain{topo, phys::CableRegistry::africanDefaults(),
-                             dns::DnsConfig::defaults(),
-                             content::ContentConfig::defaults()};
+    const Substrate plainSubstrate{
+        topo, phys::CableRegistry::africanDefaults(),
+        dns::DnsConfig::defaults(), content::ContentConfig::defaults()};
+    const WhatIfEngine plain{plainSubstrate};
     for (std::size_t i = 0; i < sweep.size(); ++i) {
         const auto golden = plain.assess(plain.makeCutEvent(sweep[i]));
         expectSameImpactReport(golden, cold[i]);
@@ -145,16 +150,19 @@ TEST(WhatIfScenarioCache, ScenarioEnginesShareTheCache) {
     exec::WorkerPool pool;
     route::OracleCache cache{topo, 16, &pool};
 
-    const WhatIfEngine baseline{topo,
-                                phys::CableRegistry::africanDefaults(),
-                                dns::DnsConfig::defaults(),
-                                content::ContentConfig::defaults(),
-                                phys::LinkMapConfig{}, 99, &cache, &pool};
+    Substrate::Options options;
+    options.oracleCache = &cache;
+    options.pool = &pool;
+    const Substrate substrate{topo, phys::CableRegistry::africanDefaults(),
+                              dns::DnsConfig::defaults(),
+                              content::ContentConfig::defaults(), options};
+    const WhatIfEngine baseline{substrate};
     // A DNS-policy scenario shares topology and cable plant, so its cut
     // events produce the same link filters: its assessments ride the
     // baseline engine's cached oracles.
-    const WhatIfEngine localized =
-        baseline.withDnsConfig(dns::DnsConfig::defaults());
+    ScenarioSpec policy;
+    policy.dnsOverride = dns::DnsConfig::defaults();
+    const WhatIfEngine localized = baseline.withScenario(policy);
 
     const std::vector<std::string> cut = {"WACS", "MainOne"};
     (void)baseline.assess(baseline.makeCutEvent(cut));

@@ -11,11 +11,15 @@ namespace {
 struct World {
     topo::Topology topo;
     route::PathOracle oracle;
+    Substrate substrate;
 
     World()
         : topo(topo::TopologyGenerator{topo::GeneratorConfig::defaults()}
                    .generate()),
-          oracle(topo) {}
+          oracle(topo),
+          substrate(topo, phys::CableRegistry::africanDefaults(),
+                    dns::DnsConfig::defaults(),
+                    content::ContentConfig::defaults()) {}
 };
 
 World& world() {
@@ -81,11 +85,7 @@ TEST(ConnectivityStudies, IxpPrevalenceShapeMatchesPaper) {
     }
 }
 
-WhatIfEngine makeEngine(World& w) {
-    return WhatIfEngine{w.topo, phys::CableRegistry::africanDefaults(),
-                        dns::DnsConfig::defaults(),
-                        content::ContentConfig::defaults()};
-}
+WhatIfEngine makeEngine(World& w) { return WhatIfEngine{w.substrate}; }
 
 TEST(WhatIfEngine, DiverseCableSoftensCorridorCut) {
     auto& w = world();
@@ -110,7 +110,9 @@ TEST(WhatIfEngine, DiverseCableSoftensCorridorCut) {
             net::CountryTable::world().byCode(code).centroid;
         diverse.landings.push_back(station);
     }
-    const auto upgraded = baseline.withCable(diverse);
+    ScenarioSpec upgrade;
+    upgrade.cablesAdded = {diverse};
+    const auto upgraded = baseline.withScenario(upgrade);
     const auto after = upgraded.assess(upgraded.makeCutEvent(march2024));
 
     EXPECT_LE(after.impactedCountries().size(),
@@ -132,7 +134,9 @@ TEST(WhatIfEngine, DnsLocalizationMandateReducesDnsFailures) {
                                                .cloudInAfrica = 0.0,
                                                .cloudOffshore = 0.0,
                                                .ispOffshore = 0.0};
-    const auto mandated = baseline.withDnsConfig(localized);
+    ScenarioSpec mandate;
+    mandate.dnsOverride = localized;
+    const auto mandated = baseline.withScenario(mandate);
 
     // Average DNS failure over the Western-Africa blast radius.
     const auto failShare = [&](const WhatIfEngine& engine) {
@@ -155,7 +159,9 @@ TEST(WhatIfEngine, ContentLocalizationMovesTheLocalityNeedle) {
         profile.localDatacenter += 0.3;
         profile.europeDc = std::max(0.0, profile.europeDc - 0.3);
     }
-    const auto mandated = baseline.withContentConfig(localized);
+    ScenarioSpec mandate;
+    mandate.contentOverride = localized;
+    const auto mandated = baseline.withScenario(mandate);
     EXPECT_GT(mandated.contentLocalShare(),
               baseline.contentLocalShare() + 0.1);
 }

@@ -148,12 +148,14 @@ TEST(EndToEnd, ScannerIxpGapExplainedByBgpAbsence) {
 
 TEST(EndToEnd, WhatIfPipelineIsDeterministic) {
     auto& w = world();
-    const core::WhatIfEngine a{w.topo, w.registry,
-                               dns::DnsConfig::defaults(),
-                               content::ContentConfig::defaults()};
-    const core::WhatIfEngine b{w.topo, w.registry,
-                               dns::DnsConfig::defaults(),
-                               content::ContentConfig::defaults()};
+    const core::Substrate substrateA{w.topo, w.registry,
+                                     dns::DnsConfig::defaults(),
+                                     content::ContentConfig::defaults()};
+    const core::Substrate substrateB{w.topo, w.registry,
+                                     dns::DnsConfig::defaults(),
+                                     content::ContentConfig::defaults()};
+    const core::WhatIfEngine a{substrateA};
+    const core::WhatIfEngine b{substrateB};
     const std::vector<std::string> cut = {"SEACOM", "EASSy"};
     const auto ra = a.assess(a.makeCutEvent(cut));
     const auto rb = b.assess(b.makeCutEvent(cut));
@@ -169,9 +171,10 @@ TEST(EndToEnd, WhatIfPipelineIsDeterministic) {
 
 TEST(EndToEnd, EastCoastCutHitsEasternAfrica) {
     auto& w = world();
-    const core::WhatIfEngine engine{w.topo, w.registry,
+    const core::Substrate substrate{w.topo, w.registry,
                                     dns::DnsConfig::defaults(),
                                     content::ContentConfig::defaults()};
+    const core::WhatIfEngine engine{substrate};
     const std::vector<std::string> eastCut = {"SEACOM", "EASSy", "EIG",
                                               "AAE-1", "DARE1"};
     const auto report = engine.assess(engine.makeCutEvent(eastCut));

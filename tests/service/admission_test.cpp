@@ -4,6 +4,7 @@
 
 #include "netbase/error.hpp"
 #include "obs/metrics.hpp"
+#include "service/workload.hpp"
 #include "service_test_util.hpp"
 
 // The admission ladder in isolation: typed rejections in documented
@@ -16,6 +17,20 @@ namespace {
 using testutil::queryRequest;
 using testutil::quotaFor;
 using testutil::sweepRequest;
+
+/// A controller bound to the builtin workload table for its config, the
+/// way the service binds it (registry declared first: it must outlive
+/// the controller).
+struct BoundAdmission {
+    explicit BoundAdmission(const AdmissionConfig& config,
+                            obs::MetricsRegistry* metrics = nullptr)
+        : workloads(WorkloadRegistry::builtins(config)),
+          controller(config, metrics) {
+        controller.bindRegistry(&workloads);
+    }
+    WorkloadRegistry workloads;
+    AdmissionController controller;
+};
 
 AdmissionConfig smallConfig() {
     AdmissionConfig config;
@@ -43,7 +58,8 @@ TEST(AdmissionConfig, ValidateRejectsEachBadKnob) {
 }
 
 TEST(AdmissionController, LadderRejectsInDocumentedOrder) {
-    AdmissionController admission{smallConfig(), nullptr};
+    BoundAdmission bound{smallConfig()};
+    AdmissionController& admission = bound.controller;
     admission.registerTenant(quotaFor("acme"));
     const auto query = queryRequest("acme", 0, 1);
     const auto heavy =
@@ -84,7 +100,8 @@ TEST(AdmissionController, LadderRejectsInDocumentedOrder) {
 TEST(AdmissionController, ZeroByteWatermarkDisablesMemoryShedding) {
     auto config = smallConfig();
     config.shedResidentBytes = 0;
-    AdmissionController admission{config, nullptr};
+    BoundAdmission bound{config};
+    AdmissionController& admission = bound.controller;
     admission.registerTenant(quotaFor("acme"));
     const auto heavy = sweepRequest("acme", testutil::cableCuts({"ACE"}));
     EXPECT_TRUE(admission.decide(heavy, 0, 0, 1ULL << 40).admitted);
@@ -93,7 +110,8 @@ TEST(AdmissionController, ZeroByteWatermarkDisablesMemoryShedding) {
 TEST(AdmissionController, AdmissionChargesTheTenantMeter) {
     auto config = smallConfig();
     config.queryCostMb = 2.0; // flat default pricing: $0.01/MB
-    AdmissionController admission{config, nullptr};
+    BoundAdmission bound{config};
+    AdmissionController& admission = bound.controller;
     admission.registerTenant(quotaFor("acme", /*budgetUsd=*/0.05));
 
     const auto query = queryRequest("acme", 0, 1);
@@ -119,7 +137,8 @@ TEST(AdmissionController, CostDefaultsPerKindWithCallerOverride) {
     config.queryCostMb = 0.25;
     config.whatIfCostMb = 1.0;
     config.sweepCostMbPerScenario = 2.0;
-    AdmissionController admission{config, nullptr};
+    BoundAdmission bound{config};
+    AdmissionController& admission = bound.controller;
 
     EXPECT_DOUBLE_EQ(admission.costMbFor(queryRequest("t", 0, 1)), 0.25);
     EXPECT_DOUBLE_EQ(
@@ -136,6 +155,15 @@ TEST(AdmissionController, CostDefaultsPerKindWithCallerOverride) {
     EXPECT_DOUBLE_EQ(admission.costMbFor(custom), 7.5);
 }
 
+TEST(AdmissionController, UnboundControllerRefusesToDecide) {
+    AdmissionController admission{smallConfig(), nullptr};
+    admission.registerTenant(quotaFor("acme"));
+    const auto query = queryRequest("acme", 0, 1);
+    EXPECT_THROW((void)admission.decide(query, 0, 0, 0),
+                 net::PreconditionError);
+    EXPECT_THROW((void)admission.costMbFor(query), net::PreconditionError);
+}
+
 TEST(AdmissionController, RestoreConsumptionResumesSpend) {
     AdmissionController admission{smallConfig(), nullptr};
     admission.registerTenant(quotaFor("acme"));
@@ -147,7 +175,8 @@ TEST(AdmissionController, RestoreConsumptionResumesSpend) {
 
 TEST(AdmissionController, RejectionCountersAreTypedByReason) {
     obs::MetricsRegistry metrics;
-    AdmissionController admission{smallConfig(), &metrics};
+    BoundAdmission bound{smallConfig(), &metrics};
+    AdmissionController& admission = bound.controller;
     admission.registerTenant(quotaFor("acme"));
     (void)admission.decide(queryRequest("ghost", 0, 1), 0, 0, 0);
     (void)admission.decide(queryRequest("acme", 0, 1), 0, 4, 0);
