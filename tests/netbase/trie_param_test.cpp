@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 
 #include "netbase/prefix_trie.hpp"
@@ -11,12 +12,15 @@
 namespace aio::net {
 namespace {
 
+// gtest names each case by dumping its bytes, so the struct must have no
+// padding: a 32-bit tableSize left four indeterminate bytes in the name.
 struct TrieCase {
     int minLength;
     int maxLength;
-    int tableSize;
+    std::int64_t tableSize;
     std::uint64_t seed;
 };
+static_assert(sizeof(TrieCase) == 2 * sizeof(int) + 2 * sizeof(std::uint64_t));
 
 class TrieSweep : public ::testing::TestWithParam<TrieCase> {};
 

@@ -137,9 +137,15 @@ TEST(EpochRegistry, ConcurrentReadersAcrossSwapsSeeConsistentEpochs) {
         });
     }
 
+    // Each swap waits for a read since the previous one, so the reads
+    // straddle the swaps however the scheduler places the threads.
+    std::uint64_t readsAtLastSwap = 0;
     for (std::size_t swap = 1; swap <= kSwaps; ++swap) {
+        while (reads.load() == readsAtLastSwap) {
+            std::this_thread::yield();
+        }
+        readsAtLastSwap = reads.load();
         (void)registry.publish(rotation[swap % rotation.size()]);
-        std::this_thread::yield();
     }
     stop.store(true);
     for (std::thread& reader : readers) {
