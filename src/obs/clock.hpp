@@ -48,4 +48,8 @@ private:
     std::atomic<std::uint64_t> nanos_{0};
 };
 
+/// The one process-wide SteadyClock: the default clock of every
+/// MetricsRegistry and Trace built without one.
+[[nodiscard]] const Clock& processSteadyClock();
+
 } // namespace aio::obs

@@ -11,12 +11,12 @@
 
 namespace aio::obs {
 
-namespace {
-
 const Clock& processSteadyClock() {
     static const SteadyClock clock;
     return clock;
 }
+
+namespace {
 
 std::uint64_t bitsOf(double value) {
     return std::bit_cast<std::uint64_t>(value);

@@ -8,13 +8,6 @@
 
 namespace aio::obs {
 
-namespace {
-const Clock& processSteadyClock() {
-    static const SteadyClock clock;
-    return clock;
-}
-} // namespace
-
 Span::Span(Span&& other) noexcept
     : trace_(std::exchange(other.trace_, nullptr)),
       startNanos_(other.startNanos_) {}

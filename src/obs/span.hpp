@@ -64,6 +64,14 @@ public:
         return trace == nullptr ? Span{} : trace->span(name);
     }
 
+    /// Null-tolerant count(): a no-op when `trace` is null.
+    static void count(Trace* trace, std::string_view name,
+                      std::uint64_t n = 1) {
+        if (trace != nullptr) {
+            trace->count(name, n);
+        }
+    }
+
     /// Records `n` visits to the child `name` of the innermost open span
     /// without opening it: a pure count node (total time stays zero).
     /// This is the settlement-loop fast path — no clock reads — and the

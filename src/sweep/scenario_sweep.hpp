@@ -66,7 +66,8 @@ struct SweepStats {
     /// Scenarios that changed a derived layer (cables added / config
     /// overrides) and therefore re-derived their stack per scenario.
     std::size_t overlayScenarios = 0;
-    /// Wall-clock seconds the batch took, measured around run() (also
+    /// Seconds the batch took on the substrate registry's clock (the
+    /// process SteadyClock without one), measured around run() (also
     /// published as the `sweep.scenarios_per_sec` gauge). Timing only —
     /// excluded from determinism comparisons, which go through the
     /// per-scenario outcomes and aggregates.

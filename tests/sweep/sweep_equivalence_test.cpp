@@ -14,6 +14,8 @@
 #include "core/whatif.hpp"
 #include "exec/worker_pool.hpp"
 #include "netbase/rng.hpp"
+#include "obs/clock.hpp"
+#include "obs/metrics.hpp"
 #include "persist/bytes.hpp"
 #include "routing/oracle_cache.hpp"
 #include "sweep/scenario_sweep.hpp"
@@ -444,6 +446,30 @@ TEST(SweepEquivalence, MismatchedCachePolicyIsRejected) {
                                   content::ContentConfig::defaults(),
                                   options}),
                  net::PreconditionError);
+}
+
+TEST(SweepEquivalence, ManualClockSweepsPublishIdenticalMetrics) {
+    // The batch is timed on the registry's clock, so under a ManualClock
+    // even sweep.scenarios_per_sec is deterministic and two runs export
+    // the same registry JSON to the byte.
+    const topo::Topology topo =
+        topo::TopologyGenerator{sizedConfig(5, true)}.generate();
+    const auto specs = cutGrid(5, 12);
+    const auto sweepJson = [&] {
+        const obs::ManualClock clock;
+        obs::MetricsRegistry metrics{&clock};
+        core::Substrate::Options options;
+        options.metrics = &metrics;
+        const core::Substrate substrate{
+            topo, phys::CableRegistry::africanDefaults(),
+            dns::DnsConfig::defaults(), content::ContentConfig::defaults(),
+            options};
+        (void)ScenarioSweepEngine{substrate}.run(specs);
+        return metrics.json();
+    };
+    const std::string first = sweepJson();
+    EXPECT_NE(first.find("sweep.scenarios_per_sec"), std::string::npos);
+    EXPECT_EQ(first, sweepJson());
 }
 
 } // namespace
