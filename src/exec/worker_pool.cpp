@@ -55,13 +55,14 @@ void WorkerPool::workerLoop(std::size_t lane) {
 }
 
 void WorkerPool::runChunks(std::size_t lane) {
-    const std::uint64_t laneStart =
-        metrics_ != nullptr ? metrics_->clock().nowNanos() : 0;
     // Per-lane busy time accumulates into the loop-wide atomic; the
     // caller folds it into the busy/idle counters once the loop drains.
+    // Only an observed pool reads the clock or touches the atomic.
+    const std::uint64_t laneStart =
+        metrics_ ? metrics_.clock().nowNanos() : 0;
     const auto settleBusy = [&] {
-        if (metrics_ != nullptr) {
-            loopBusyNanos_.fetch_add(metrics_->clock().nowNanos() -
+        if (metrics_) {
+            loopBusyNanos_.fetch_add(metrics_.clock().nowNanos() -
                                          laneStart,
                                      std::memory_order_relaxed);
         }
@@ -122,32 +123,30 @@ void WorkerPool::parallelFor(
     // Dispatch accounting is schedule-invariant: one loop, `count`
     // indices, a queue depth of `count` — the same at any thread count,
     // which is what keeps instrumented runs byte-comparable across pools.
-    if (metrics_ != nullptr) {
-        metrics_->counter("exec.pool.loops").add();
-        metrics_->counter("exec.pool.indices").add(count);
-        metrics_->histogram("exec.pool.queue_depth")
-            .record(static_cast<double>(count));
-        loopBusyNanos_.store(0, std::memory_order_relaxed);
-    }
+    metrics_.add("exec.pool.loops");
+    metrics_.add("exec.pool.indices", count);
+    metrics_.record("exec.pool.queue_depth", static_cast<double>(count));
+    loopBusyNanos_.store(0, std::memory_order_relaxed);
     const std::uint64_t loopStart =
-        metrics_ != nullptr ? metrics_->clock().nowNanos() : 0;
+        metrics_ ? metrics_.clock().nowNanos() : 0;
     const auto settleLoop = [&] {
-        if (metrics_ == nullptr) {
-            return;
+        if (!metrics_) {
+            return; // the wall-time clock read is the skipped work
         }
-        const std::uint64_t wall = metrics_->clock().nowNanos() - loopStart;
+        const std::uint64_t wall = metrics_.clock().nowNanos() - loopStart;
+        // The 1-thread loop runs inline: its one lane is busy throughout.
         const std::uint64_t busy =
-            loopBusyNanos_.load(std::memory_order_relaxed);
+            threads_ == 1 ? wall
+                          : loopBusyNanos_.load(std::memory_order_relaxed);
         const std::uint64_t offered =
             wall * static_cast<std::uint64_t>(threads_);
-        metrics_->histogram("exec.pool.loop_seconds")
-            .record(static_cast<double>(wall) * 1e-9);
-        metrics_->counter("exec.pool.busy_nanos").add(busy);
-        metrics_->counter("exec.pool.idle_nanos")
-            .add(offered > busy ? offered - busy : 0);
+        metrics_.record("exec.pool.loop_seconds",
+                        static_cast<double>(wall) * 1e-9);
+        metrics_.add("exec.pool.busy_nanos", busy);
+        metrics_.add("exec.pool.idle_nanos",
+                     offered > busy ? offered - busy : 0);
     };
     if (threads_ == 1) {
-        const std::uint64_t laneStart = loopStart;
         try {
             // Poll the token on the same granularity the chunked path
             // uses, so a cancelled 1-thread loop stops within one
@@ -160,17 +159,8 @@ void WorkerPool::parallelFor(
                 fn(i, 0);
             }
         } catch (...) {
-            if (metrics_ != nullptr) {
-                loopBusyNanos_.store(metrics_->clock().nowNanos() -
-                                         laneStart,
-                                     std::memory_order_relaxed);
-            }
             settleLoop();
             throw;
-        }
-        if (metrics_ != nullptr) {
-            loopBusyNanos_.store(metrics_->clock().nowNanos() - laneStart,
-                                 std::memory_order_relaxed);
         }
         settleLoop();
         return;

@@ -80,7 +80,7 @@ private:
     void runChunks(std::size_t lane);
 
     int threads_ = 1;
-    obs::MetricsRegistry* metrics_ = nullptr;
+    obs::Metrics metrics_;
     std::atomic<std::uint64_t> loopBusyNanos_{0}; ///< lanes' work, this loop
     std::vector<std::thread> workers_;
 

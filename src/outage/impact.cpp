@@ -135,9 +135,7 @@ route::LinkFilter ImpactAnalyzer::filterFor(const OutageEvent& event,
 ImpactReport ImpactAnalyzer::assess(const OutageEvent& event,
                                     net::Rng& rng) const {
     const obs::ScopedTimer timer{metrics_, "impact.assess_seconds"};
-    if (metrics_ != nullptr) {
-        metrics_->counter("impact.assessments").add();
-    }
+    metrics_.add("impact.assessments");
     if (event.macroRegion != net::MacroRegion::Africa) {
         return scoreImpact(event, *baselineOracle_, rng);
     }
@@ -159,9 +157,7 @@ ImpactAnalyzer::assessWithOracle(const OutageEvent& event,
                                  const route::RouteOracle& degraded,
                                  net::Rng& rng) const {
     const obs::ScopedTimer timer{metrics_, "impact.assess_seconds"};
-    if (metrics_ != nullptr) {
-        metrics_->counter("impact.assessments").add();
-    }
+    metrics_.add("impact.assessments");
     return scoreImpact(event, degraded, rng);
 }
 

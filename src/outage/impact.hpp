@@ -136,7 +136,7 @@ private:
     ImpactConfig config_;
     route::OracleCache* oracleCache_;
     exec::WorkerPool* pool_;
-    obs::MetricsRegistry* metrics_;
+    obs::Metrics metrics_;
     std::shared_ptr<const route::RouteOracle> baselineOracle_;
     std::map<std::string, double, std::less<>> baselineSuccess_;
 };

@@ -217,12 +217,9 @@ void CampaignJournal::appendRecord(std::span<const std::byte> payload) {
     const std::uint64_t before = writer_.bytesWritten();
     writer_.append(payload);
     sink_->flush();
-    if (metrics_ != nullptr) {
-        metrics_->counter("journal.appends").add();
-        metrics_->counter("journal.flushes").add();
-        metrics_->counter("journal.bytes_written")
-            .add(writer_.bytesWritten() - before);
-    }
+    metrics_.add("journal.appends");
+    metrics_.add("journal.flushes");
+    metrics_.add("journal.bytes_written", writer_.bytesWritten() - before);
 }
 
 void CampaignJournal::writeHeader(const CampaignHeader& header) {
@@ -246,14 +243,12 @@ void CampaignJournal::appendCheckpoint(const CampaignCheckpoint& checkpoint) {
     ByteWriter w;
     encodeCheckpoint(w, checkpoint);
     appendRecord(w.bytes());
-    if (metrics_ != nullptr) {
-        metrics_->counter("journal.checkpoints").add();
-    }
+    metrics_.add("journal.checkpoints");
 }
 
 CampaignJournal::Replay
 CampaignJournal::replay(std::span<const std::byte> bytes,
-                        obs::MetricsRegistry* metrics) {
+                        obs::Metrics metrics) {
     const obs::ScopedTimer timer{metrics, "journal.replay_seconds"};
     Replay out;
     RecordReader reader{bytes};
@@ -305,15 +300,10 @@ CampaignJournal::replay(std::span<const std::byte> bytes,
         }
     }
     out.tornTail = reader.tail() == TailStatus::Torn;
-    if (metrics != nullptr) {
-        metrics->counter("journal.replay.records")
-            .add(out.outcomeRecords);
-        metrics->counter("journal.replay.checkpoints")
-            .add(out.checkpoint ? 1 : 0);
-        metrics->counter("journal.replay.torn_tails")
-            .add(out.tornTail ? 1 : 0);
-        metrics->counter("journal.replays").add();
-    }
+    metrics.add("journal.replay.records", out.outcomeRecords);
+    metrics.add("journal.replay.checkpoints", out.checkpoint ? 1 : 0);
+    metrics.add("journal.replay.torn_tails", out.tornTail ? 1 : 0);
+    metrics.add("journal.replays");
     return out;
 }
 

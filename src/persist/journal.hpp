@@ -75,15 +75,14 @@ public:
     /// `metrics` (optional) receives replayed record/checkpoint counts
     /// and the torn-tail counter.
     [[nodiscard]] static Replay
-    replay(std::span<const std::byte> bytes,
-           obs::MetricsRegistry* metrics = nullptr);
+    replay(std::span<const std::byte> bytes, obs::Metrics metrics = {});
 
 private:
     void appendRecord(std::span<const std::byte> payload);
 
     RecordWriter writer_;
     ByteSink* sink_;
-    obs::MetricsRegistry* metrics_;
+    obs::Metrics metrics_;
     bool headerWritten_ = false;
 };
 

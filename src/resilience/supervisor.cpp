@@ -124,14 +124,7 @@ public:
            obs::Trace* trace = nullptr)
         : observatory_(&observatory), config_(&config),
           injector_(&injector), rng_(&rng), metrics_(metrics),
-          trace_(trace) {
-        if (metrics != nullptr) {
-            // The backoff histogram is fed per retry (a domain value the
-            // report cannot reconstruct); the reference is resolved once
-            // because registry references are stable for its lifetime.
-            backoffHours_ = &metrics->histogram("supervisor.backoff_hours");
-        }
-    }
+          trace_(trace) {}
 
     /// Seeds the launch schedule for a fresh campaign.
     void init(std::span<const core::CampaignTask> tasks) {
@@ -284,12 +277,10 @@ public:
                       item.reassignments});
                 outcome.kind = persist::TaskOutcomeKind::Retried;
                 outcome.faultClass = static_cast<std::uint8_t>(cause);
-                if (backoffHours_ != nullptr) {
-                    // Domain value, not a wall-clock reading: identical
-                    // under any obs clock, so it survives the
-                    // determinism grid.
-                    backoffHours_->record(backoff);
-                }
+                // Fed per retry (a domain value the report cannot
+                // reconstruct), not a wall-clock reading: identical under
+                // any obs clock, so it survives the determinism grid.
+                metrics_.record("supervisor.backoff_hours", backoff);
                 return;
             }
             abandon(cause);
@@ -388,30 +379,28 @@ public:
         const std::uint64_t timeouts =
             intDelta(report.transientTimeouts, prev.transientTimeouts);
         const std::uint64_t settlements = delta(outcomes_, prev.settlements);
-        if (metrics_ != nullptr) {
-            metrics_->counter("supervisor.attempts").add(attempts);
-            metrics_->counter("supervisor.retries").add(retries);
-            metrics_->counter("supervisor.reassignments").add(reassigned);
-            metrics_->counter("supervisor.abandoned").add(abandoned);
-            metrics_->counter("supervisor.completed").add(completed);
-            metrics_->counter("supervisor.transient_timeouts").add(timeouts);
-            metrics_->counter("supervisor.settlements").add(settlements);
+        metrics_.add("supervisor.attempts", attempts);
+        metrics_.add("supervisor.retries", retries);
+        metrics_.add("supervisor.reassignments", reassigned);
+        metrics_.add("supervisor.abandoned", abandoned);
+        metrics_.add("supervisor.completed", completed);
+        metrics_.add("supervisor.transient_timeouts", timeouts);
+        metrics_.add("supervisor.settlements", settlements);
+        if (metrics_) { // per-class delta bookkeeping and name building
             for (const auto& [cls, lost] : report.lossByFaultClass) {
                 const std::uint64_t d = intDelta(lost, prev.loss[cls]);
                 if (d > 0) {
-                    metrics_->counter("supervisor.loss." + cls).add(d);
+                    metrics_.add("supervisor.loss." + cls, d);
                 }
             }
         }
-        if (trace_ != nullptr) {
-            // Count nodes under the innermost open span (the drain phase):
-            // per-kind settlement totals without per-event clock reads.
-            trace_->count("attempt", attempts);
-            trace_->count("settle.completed", completed);
-            trace_->count("settle.retried", retries);
-            trace_->count("settle.reassigned", reassigned);
-            trace_->count("settle.abandoned", abandoned);
-        }
+        // Count nodes under the innermost open span (the drain phase):
+        // per-kind settlement totals without per-event clock reads.
+        obs::Trace::count(trace_, "attempt", attempts);
+        obs::Trace::count(trace_, "settle.completed", completed);
+        obs::Trace::count(trace_, "settle.retried", retries);
+        obs::Trace::count(trace_, "settle.reassigned", reassigned);
+        obs::Trace::count(trace_, "settle.abandoned", abandoned);
     }
 
     /// Final accounting once the queue drains.
@@ -436,9 +425,8 @@ private:
     const SupervisorConfig* config_;
     FaultInjector* injector_;
     net::Rng* rng_;
-    obs::MetricsRegistry* metrics_ = nullptr;
+    obs::Metrics metrics_;
     obs::Trace* trace_ = nullptr;
-    obs::Histogram* backoffHours_ = nullptr;
 
     /// Snapshot of the report values already pushed into the registry,
     /// so publishObservability() adds exact deltas.

@@ -21,16 +21,12 @@ OracleCache::get(const LinkFilter& filter) {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (const auto it = index_.find(key); it != index_.end()) {
         ++stats_.hits;
-        if (metrics_ != nullptr) {
-            metrics_->counter("cache.oracle.hits").add();
-        }
+        metrics_.add("cache.oracle.hits");
         lru_.splice(lru_.begin(), lru_, it->second);
         return it->second->oracle;
     }
     ++stats_.misses;
-    if (metrics_ != nullptr) {
-        metrics_->counter("cache.oracle.misses").add();
-    }
+    metrics_.add("cache.oracle.misses");
     std::shared_ptr<const RouteOracle> oracle;
     {
         const obs::ScopedTimer timer{metrics_,
@@ -48,16 +44,12 @@ OracleCache::peek(const LinkFilter& filter) {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (const auto it = index_.find(key); it != index_.end()) {
         ++stats_.hits;
-        if (metrics_ != nullptr) {
-            metrics_->counter("cache.oracle.hits").add();
-        }
+        metrics_.add("cache.oracle.hits");
         lru_.splice(lru_.begin(), lru_, it->second);
         return it->second->oracle;
     }
     ++stats_.misses;
-    if (metrics_ != nullptr) {
-        metrics_->counter("cache.oracle.misses").add();
-    }
+    metrics_.add("cache.oracle.misses");
     return nullptr;
 }
 
@@ -100,10 +92,8 @@ void OracleCache::evictTailLocked() {
     index_.erase(lru_.back().key);
     lru_.pop_back();
     ++stats_.evictions;
-    if (metrics_ != nullptr) {
-        metrics_->counter("cache.oracle.evictions").add();
-        metrics_->counter("cache.oracle.evicted_bytes").add(bytes);
-    }
+    metrics_.add("cache.oracle.evictions");
+    metrics_.add("cache.oracle.evicted_bytes", bytes);
 }
 
 void OracleCache::enforceByteBudgetLocked() {
@@ -129,12 +119,9 @@ void OracleCache::recomputeBytesLocked() const {
 }
 
 void OracleCache::publishGaugesLocked() {
-    if (metrics_ != nullptr) {
-        metrics_->gauge("cache.oracle.entries")
-            .set(static_cast<double>(lru_.size()));
-        metrics_->gauge("cache.oracle.retained_bytes")
-            .set(static_cast<double>(stats_.retainedBytes));
-    }
+    metrics_.set("cache.oracle.entries", static_cast<double>(lru_.size()));
+    metrics_.set("cache.oracle.retained_bytes",
+                 static_cast<double>(stats_.retainedBytes));
 }
 
 OracleCacheStats OracleCache::stats() const {

@@ -138,7 +138,7 @@ private:
     const topo::Topology* topo_;
     std::size_t capacity_;
     exec::WorkerPool* pool_;
-    obs::MetricsRegistry* metrics_;
+    obs::Metrics metrics_;
     OracleCacheConfig config_;
 
     mutable std::mutex mutex_;

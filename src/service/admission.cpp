@@ -9,19 +9,31 @@
 
 namespace aio::service {
 
-std::string_view rejectReasonName(RejectReason reason) {
+std::string_view rejectedCounterName(RejectReason reason) {
+    // One constant per reason, so the shed path allocates nothing; the
+    // reason name is the suffix after "service.rejected.".
     switch (reason) {
-    case RejectReason::None: return "none";
-    case RejectReason::QueueFull: return "queue_full";
-    case RejectReason::Overloaded: return "overloaded";
-    case RejectReason::MemoryPressure: return "memory_pressure";
-    case RejectReason::BudgetExhausted: return "budget_exhausted";
-    case RejectReason::DeadlineUnmeetable: return "deadline_unmeetable";
-    case RejectReason::UnknownTenant: return "unknown_tenant";
-    case RejectReason::ShuttingDown: return "shutting_down";
-    case RejectReason::UnknownWorkload: return "unknown_workload";
+    case RejectReason::None: return "service.rejected.none";
+    case RejectReason::QueueFull: return "service.rejected.queue_full";
+    case RejectReason::Overloaded: return "service.rejected.overloaded";
+    case RejectReason::MemoryPressure:
+        return "service.rejected.memory_pressure";
+    case RejectReason::BudgetExhausted:
+        return "service.rejected.budget_exhausted";
+    case RejectReason::DeadlineUnmeetable:
+        return "service.rejected.deadline_unmeetable";
+    case RejectReason::UnknownTenant:
+        return "service.rejected.unknown_tenant";
+    case RejectReason::ShuttingDown: return "service.rejected.shutting_down";
+    case RejectReason::UnknownWorkload:
+        return "service.rejected.unknown_workload";
     }
-    return "?";
+    return "service.rejected.?";
+}
+
+std::string_view rejectReasonName(RejectReason reason) {
+    return rejectedCounterName(reason).substr(
+        std::string_view{"service.rejected."}.size());
 }
 
 std::string_view responseStatusName(ResponseStatus status) {
@@ -135,9 +147,7 @@ AdmissionController::decide(const ServiceRequest& request,
         return reject(RejectReason::BudgetExhausted);
     }
     tenant.meter.add(mb, false);
-    if (metrics_ != nullptr) {
-        metrics_->counter("service.admitted").add();
-    }
+    metrics_.add("service.admitted");
     AdmissionDecision decision;
     decision.admitted = true;
     decision.chargedUsd = marginal;
@@ -166,12 +176,7 @@ void AdmissionController::restoreConsumption(std::string_view tenant,
 }
 
 AdmissionDecision AdmissionController::reject(RejectReason reason) {
-    if (metrics_ != nullptr) {
-        metrics_
-            ->counter(std::string{"service.rejected."} +
-                      std::string{rejectReasonName(reason)})
-            .add();
-    }
+    metrics_.add(rejectedCounterName(reason));
     AdmissionDecision decision;
     decision.reason = reason;
     const bool shed = reason == RejectReason::QueueFull ||

@@ -131,7 +131,7 @@ private:
     [[nodiscard]] AdmissionDecision reject(RejectReason reason);
 
     AdmissionConfig config_;
-    obs::MetricsRegistry* metrics_;
+    obs::Metrics metrics_;
     const WorkloadRegistry* registry_ = nullptr;
     /// std::map: deterministic iteration for tests and digests.
     std::map<std::string, Tenant, std::less<>> tenants_;

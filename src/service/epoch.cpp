@@ -44,9 +44,7 @@ EpochRegistry::publish(std::shared_ptr<const ServiceSnapshot> snapshot) {
     if (!live_.empty() && live_.back().pins == 0) {
         live_.pop_back();
         ++reclaimed_;
-        if (metrics_ != nullptr) {
-            metrics_->counter("service.epochs_reclaimed").add();
-        }
+        metrics_.add("service.epochs_reclaimed");
     }
     ++epoch_;
     live_.push_back(Entry{epoch_, std::move(snapshot), 0});
@@ -100,20 +98,14 @@ void EpochRegistry::unpin(std::uint64_t epoch) noexcept {
     if (it->pins == 0 && it->epoch != live_.back().epoch) {
         live_.erase(it);
         ++reclaimed_;
-        if (metrics_ != nullptr) {
-            metrics_->counter("service.epochs_reclaimed").add();
-        }
+        metrics_.add("service.epochs_reclaimed");
         publishGaugesLocked();
     }
 }
 
 void EpochRegistry::publishGaugesLocked() {
-    if (metrics_ != nullptr) {
-        metrics_->gauge("service.epoch")
-            .set(static_cast<double>(epoch_));
-        metrics_->gauge("service.live_epochs")
-            .set(static_cast<double>(live_.size()));
-    }
+    metrics_.set("service.epoch", static_cast<double>(epoch_));
+    metrics_.set("service.live_epochs", static_cast<double>(live_.size()));
 }
 
 } // namespace aio::service

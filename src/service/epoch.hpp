@@ -89,7 +89,7 @@ private:
     void unpin(std::uint64_t epoch) noexcept;
     void publishGaugesLocked();
 
-    obs::MetricsRegistry* metrics_;
+    obs::Metrics metrics_;
     mutable std::mutex mutex_;
     std::vector<Entry> live_; ///< ascending epoch; back() is current
     std::uint64_t epoch_ = 0;

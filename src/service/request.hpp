@@ -68,6 +68,9 @@ enum class RejectReason : std::uint8_t {
 
 [[nodiscard]] std::string_view rejectReasonName(RejectReason reason);
 
+/// The `service.rejected.<reason>` counter admission bumps for `reason`.
+[[nodiscard]] std::string_view rejectedCounterName(RejectReason reason);
+
 enum class ResponseStatus : std::uint8_t {
     Ok,
     Rejected,  ///< never admitted; see reject/retryAfterNanos

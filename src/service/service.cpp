@@ -97,10 +97,7 @@ ObservatoryService::submit(ServiceRequest request) {
     pending.promise = std::move(promise);
     pending.chargedUsd = decision.chargedUsd;
     queue_.push_back(std::move(pending));
-    if (metrics_ != nullptr) {
-        metrics_->gauge("service.queue_depth")
-            .set(static_cast<double>(queue_.size()));
-    }
+    metrics_.set("service.queue_depth", static_cast<double>(queue_.size()));
     lock.unlock();
     ready_.notify_one();
     return future;
@@ -111,19 +108,15 @@ std::uint64_t ObservatoryService::publish(
     if (!snapshot.hasValue()) {
         const std::lock_guard<std::mutex> lock{mutex_};
         degraded_ = true;
-        if (metrics_ != nullptr) {
-            metrics_->counter("service.swap_failures").add();
-            metrics_->gauge("service.degraded").set(1.0);
-        }
+        metrics_.add("service.swap_failures");
+        metrics_.set("service.degraded", 1.0);
         return epochs_.currentEpoch();
     }
     const std::uint64_t epoch =
         epochs_.publish(std::move(snapshot).value());
     const std::lock_guard<std::mutex> lock{mutex_};
     degraded_ = false;
-    if (metrics_ != nullptr) {
-        metrics_->gauge("service.degraded").set(0.0);
-    }
+    metrics_.set("service.degraded", 0.0);
     return epoch;
 }
 
@@ -146,13 +139,11 @@ void ObservatoryService::injectAllocPressure(std::uint64_t bytes) {
         // current snapshot's cache down to the degraded budget.
         const PinnedSnapshot pinned = epochs_.pin();
         pinned->cache().setByteBudget(config_.degradedCacheByteBudget);
-        if (metrics_ != nullptr) {
-            metrics_->counter("service.cache_shrinks").add();
-        }
+        metrics_.add("service.cache_shrinks");
     }
-    if (metrics_ != nullptr) {
-        metrics_->gauge("service.resident_bytes")
-            .set(static_cast<double>(residentBytes()));
+    if (metrics_) { // residentBytes() takes the service and epoch locks
+        metrics_.set("service.resident_bytes",
+                     static_cast<double>(residentBytes()));
     }
 }
 
@@ -179,10 +170,8 @@ bool ObservatoryService::runOne() {
         }
         pending = std::move(queue_.front());
         queue_.pop_front();
-        if (metrics_ != nullptr) {
-            metrics_->gauge("service.queue_depth")
-                .set(static_cast<double>(queue_.size()));
-        }
+        metrics_.set("service.queue_depth",
+                     static_cast<double>(queue_.size()));
     }
     pending.promise.set_value(execute(pending));
     return true;
@@ -258,10 +247,8 @@ void ObservatoryService::handlerLoop() {
             }
             pending = std::move(queue_.front());
             queue_.pop_front();
-            if (metrics_ != nullptr) {
-                metrics_->gauge("service.queue_depth")
-                    .set(static_cast<double>(queue_.size()));
-            }
+            metrics_.set("service.queue_depth",
+                         static_cast<double>(queue_.size()));
         }
         pending.promise.set_value(execute(pending));
     }
@@ -296,26 +283,20 @@ ServiceResponse ObservatoryService::execute(Pending& pending) {
         response.status = ResponseStatus::Ok;
         const std::lock_guard<std::mutex> lock{mutex_};
         ++completed_;
-        if (metrics_ != nullptr) {
-            metrics_->counter("service.completed").add();
-        }
+        metrics_.add("service.completed");
     } catch (const net::CancelledError&) {
         response.status = ResponseStatus::Cancelled;
         response.sweep.reset();
         response.plan.reset();
         response.report.reset();
-        if (metrics_ != nullptr) {
-            metrics_->counter("service.cancelled").add();
-        }
+        metrics_.add("service.cancelled");
     } catch (const net::AioError& error) {
         response.status = ResponseStatus::Failed;
         response.sweep.reset();
         response.plan.reset();
         response.report.reset();
         response.error = error.what();
-        if (metrics_ != nullptr) {
-            metrics_->counter("service.failed").add();
-        }
+        metrics_.add("service.failed");
     }
     return response;
 }

@@ -150,7 +150,7 @@ private:
 
     ServiceConfig config_;
     const obs::Clock* clock_;
-    obs::MetricsRegistry* metrics_;
+    obs::Metrics metrics_;
     EpochRegistry epochs_;
     WorkloadRegistry registry_;
     AdmissionController admission_;

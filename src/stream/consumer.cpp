@@ -107,7 +107,7 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
                 "configuration");
 
     OnlineRadarDetector detector{radar_, stream_, view.header.windowDays,
-                                 metrics_};
+                                 metrics_.registry()};
     std::uint64_t startIndex = 0;
     if (!priorCheckpoints.empty()) {
         auto span = obs::Trace::enter(trace_, "stream.consumer.resume");
@@ -124,9 +124,7 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
             AIO_EXPECTS(startIndex <= view.events.size(),
                         "checkpoint lies beyond the end of the event log");
         }
-        if (metrics_ != nullptr) {
-            metrics_->counter("stream.consumer.resumes").add();
-        }
+        metrics_.add("stream.consumer.resumes");
     }
 
     // Fresh journal for this run: header, then (for continuations) the
@@ -145,9 +143,7 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
         payload.u64(eventIndex);
         payload.raw(detector.encodeState());
         appendRecord(payload.bytes());
-        if (metrics_ != nullptr) {
-            metrics_->counter("stream.consumer.checkpoints").add();
-        }
+        metrics_.add("stream.consumer.checkpoints");
     };
     {
         persist::ByteWriter payload;
@@ -173,10 +169,8 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
                 // the only thing the next run can build on.
                 outcome.eventsProcessed = detector.eventsIngested();
                 outcome.degradation = detector.degradation();
-                if (trace_ != nullptr) {
-                    trace_->count("stream.consumer.events",
+                obs::Trace::count(trace_, "stream.consumer.events",
                                   processedThisRun);
-                }
                 return outcome;
             }
             detector.ingest(view.events[i]);
@@ -186,16 +180,13 @@ StreamConsumer::run(std::span<const std::byte> logBytes,
                 appendCheckpoint(i + 1);
             }
         }
-        if (trace_ != nullptr) {
-            trace_->count("stream.consumer.events", processedThisRun);
-        }
+        obs::Trace::count(trace_, "stream.consumer.events",
+                          processedThisRun);
     }
     // Closing checkpoint: a run that completed leaves a journal any
     // successor can resume from trivially.
     appendCheckpoint(view.events.size());
-    if (metrics_ != nullptr) {
-        metrics_->counter("stream.consumer.events").add(processedThisRun);
-    }
+    metrics_.add("stream.consumer.events", processedThisRun);
 
     outcome.detections = detector.finalDetections();
     outcome.alerts = detector.alerts();

@@ -81,7 +81,7 @@ private:
 
     outage::RadarConfig radar_;
     StreamConfig stream_;
-    obs::MetricsRegistry* metrics_;
+    obs::Metrics metrics_;
     obs::Trace* trace_;
 };
 

@@ -42,11 +42,9 @@ void EventLogWriter::appendRecord(std::span<const std::byte> payload) {
     // Same durability contract as CampaignJournal: the record is only
     // real once it survives a crash, so flush before returning.
     sink_->flush();
-    if (metrics_ != nullptr) {
-        metrics_->counter("stream.log.appends").add();
-        metrics_->counter("stream.log.bytes_written")
-            .add(payload.size() + 12); // framing: len + lenCrc + payloadCrc
-    }
+    metrics_.add("stream.log.appends");
+    metrics_.add("stream.log.bytes_written",
+                 payload.size() + 12); // framing: len + lenCrc + payloadCrc
 }
 
 EventLogView readEventLog(std::span<const std::byte> bytes) {

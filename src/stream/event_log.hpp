@@ -48,7 +48,7 @@ private:
 
     persist::RecordWriter writer_;
     persist::ByteSink* sink_;
-    obs::MetricsRegistry* metrics_;
+    obs::Metrics metrics_;
 };
 
 /// An event log read back from bytes. `boundaries[i]` is the byte offset

@@ -27,19 +27,14 @@ void StreamIngestor::capture(std::span<const DeliveredEvent> delivered,
             // frees. Deterministic because the model has one logical
             // producer and batch drains.
             ++stats_.backpressureStalls;
-            if (metrics_ != nullptr) {
-                metrics_->counter("stream.ingest.backpressure_stalls")
-                    .add();
-            }
+            metrics_.add("stream.ingest.backpressure_stalls");
             drain();
         }
         ring_.push_back(copy);
         ++stats_.eventsDelivered;
     }
     drain();
-    if (metrics_ != nullptr) {
-        metrics_->counter("stream.ingest.delivered").add(delivered.size());
-    }
+    metrics_.add("stream.ingest.delivered", delivered.size());
 }
 
 namespace {
@@ -54,17 +49,10 @@ constexpr std::uint32_t kSessionRetention = 8;
 
 bool StreamIngestor::admit(const MeasurementEvent& event) {
     ProbeDedupe& probe = probes_[event.probe];
-    const auto count = [&](const char* name) {
-        if (metrics_ != nullptr) {
-            metrics_->counter(name).add();
-        }
-    };
     if (event.session > probe.maxSession) {
         stats_.reconnects += event.session - probe.maxSession;
-        if (metrics_ != nullptr) {
-            metrics_->counter("stream.ingest.reconnects")
-                .add(event.session - probe.maxSession);
-        }
+        metrics_.add("stream.ingest.reconnects",
+                     event.session - probe.maxSession);
         probe.maxSession = event.session;
         while (!probe.sessions.empty() &&
                probe.sessions.begin()->first + kSessionRetention <=
@@ -77,7 +65,7 @@ bool StreamIngestor::admit(const MeasurementEvent& event) {
         // dedupe state is gone, so the copy cannot be admitted honestly
         // — only dropped and counted.
         ++stats_.staleSessions;
-        count("stream.ingest.stale_sessions");
+        metrics_.add("stream.ingest.stale_sessions");
         return false;
     }
     SessionDedupe& session = probe.sessions[event.session];
@@ -86,7 +74,7 @@ bool StreamIngestor::admit(const MeasurementEvent& event) {
         // "seen and evicted"; at-least-once delivery makes redelivery
         // the overwhelmingly likely story, so drop conservatively.
         ++stats_.duplicatesDropped;
-        count("stream.ingest.duplicates");
+        metrics_.add("stream.ingest.duplicates");
         return false;
     }
     session.seen.insert(event.seq);
@@ -95,7 +83,7 @@ bool StreamIngestor::admit(const MeasurementEvent& event) {
         session.seen.erase(session.seen.begin(),
                            session.seen.lower_bound(session.floorSeq));
     }
-    count("stream.ingest.accepted");
+    metrics_.add("stream.ingest.accepted");
     return true;
 }
 

@@ -60,7 +60,7 @@ private:
     };
 
     StreamConfig config_;
-    obs::MetricsRegistry* metrics_;
+    obs::Metrics metrics_;
     std::map<std::uint64_t, ProbeDedupe> probes_;
     std::vector<DeliveredEvent> ring_;
     DegradationReport stats_;

@@ -143,14 +143,15 @@ void OnlineRadarDetector::sealLane(Lane& lane) {
 }
 
 void OnlineRadarDetector::publishPending() {
-    if (metrics_ == nullptr) {
+    if (!metrics_) { // skips the histogram walk and degradation()
         for (auto& [country, lane] : lanes_) {
             lane.pendingLags.clear();
         }
         return;
     }
-    obs::Histogram& lag =
-        metrics_->histogram("stream.detector.lag_days", kLagBoundsDays);
+    // Resolved once per publish, not once per sample.
+    obs::Histogram& lag = metrics_.registry()->histogram(
+        "stream.detector.lag_days", kLagBoundsDays);
     for (auto& [country, lane] : lanes_) {
         for (const double sample : lane.pendingLags) {
             lag.record(sample);
@@ -158,14 +159,14 @@ void OnlineRadarDetector::publishPending() {
         lane.pendingLags.clear();
     }
     const DegradationReport now = degradation();
-    metrics_->counter("stream.detector.events")
-        .add(eventsIngested() - published_.eventsDelivered);
-    metrics_->counter("stream.detector.late_dropped")
-        .add(now.lateDropped - published_.lateDropped);
-    metrics_->counter("stream.detector.duplicate_slots")
-        .add(now.duplicateSlots - published_.duplicateSlots);
-    metrics_->counter("stream.detector.sealed_gaps")
-        .add(now.sealedGaps - published_.sealedGaps);
+    metrics_.add("stream.detector.events",
+                 eventsIngested() - published_.eventsDelivered);
+    metrics_.add("stream.detector.late_dropped",
+                 now.lateDropped - published_.lateDropped);
+    metrics_.add("stream.detector.duplicate_slots",
+                 now.duplicateSlots - published_.duplicateSlots);
+    metrics_.add("stream.detector.sealed_gaps",
+                 now.sealedGaps - published_.sealedGaps);
     published_ = now;
     published_.eventsDelivered = eventsIngested();
 }

@@ -143,7 +143,7 @@ private:
     std::size_t slotCount_;
     double watermarkSlots_;
     std::uint64_t digest_;
-    obs::MetricsRegistry* metrics_;
+    obs::Metrics metrics_;
     std::map<std::string, Lane, std::less<>> lanes_;
     DegradationReport published_; ///< counter totals already in metrics
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -170,6 +171,68 @@ TEST(ScopedTimer, RecordsManualClockElapsedSeconds) {
 TEST(ScopedTimer, NullRegistryIsInert) {
     const ScopedTimer timer{nullptr, "ignored"};
     SUCCEED();
+}
+
+/// Counts its reads, so a test can prove a path never reads the clock.
+class CountingClock final : public Clock {
+public:
+    [[nodiscard]] std::uint64_t nowNanos() const override {
+        ++reads;
+        return reads * 1000;
+    }
+    mutable std::uint64_t reads = 0;
+};
+
+TEST(Metrics, NullHandleWritesNothingAndReadsNoClock) {
+    const Metrics off;
+    EXPECT_FALSE(off);
+    EXPECT_EQ(off.registry(), nullptr);
+    off.add("c", 3);
+    off.set("g", 1.5);
+    off.record("h", 0.25);
+    { const ScopedTimer timer{off, "t"}; }
+    // Without a registry the clock is the one process SteadyClock.
+    EXPECT_EQ(&off.clock(), &processSteadyClock());
+
+    // A registered clock stays unread until a handle is wired to it, and
+    // an enabled handle reads it only for timers: twice per timer.
+    const CountingClock clock;
+    MetricsRegistry registry{&clock};
+    EXPECT_EQ(clock.reads, 0U);
+    const Metrics on{&registry};
+    on.add("c");
+    on.set("g", 1.0);
+    on.record("h", 1.0);
+    EXPECT_EQ(clock.reads, 0U);
+    { const ScopedTimer timer{on, "t"}; }
+    EXPECT_EQ(clock.reads, 2U);
+}
+
+TEST(Metrics, EnabledHandleWritesWhatDirectRegistryCallsWrite) {
+    static constexpr std::array<double, 2> kBounds{1.0, 4.0};
+    ManualClock clock;
+    MetricsRegistry viaHandle{&clock};
+    MetricsRegistry direct{&clock};
+    const Metrics on{&viaHandle};
+    ASSERT_TRUE(on);
+    EXPECT_EQ(&on.clock(), &clock);
+
+    on.add("c");
+    on.add("c", 41);
+    on.set("g", -2.5);
+    on.record("h", 3.0, kBounds);
+    on.record("h", 0.5);
+    {
+        const ScopedTimer timer{on, "t"};
+        clock.advance(3'000);
+    }
+    direct.counter("c").add();
+    direct.counter("c").add(41);
+    direct.gauge("g").set(-2.5);
+    direct.histogram("h", kBounds).record(3.0);
+    direct.histogram("h").record(0.5);
+    direct.histogram("t").record(static_cast<double>(3'000) * 1e-9);
+    EXPECT_EQ(viaHandle.json(), direct.json());
 }
 
 } // namespace

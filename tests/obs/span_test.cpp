@@ -83,7 +83,8 @@ TEST(Trace, CountNodesAccumulateWithoutTiming) {
         const Span phase = trace.span("drain");
         trace.count("settle.completed");
         clock.advance(5'000'000); // must not leak into the count node
-        trace.count("settle.completed", 41);
+        Trace::count(&trace, "settle.completed", 41);
+        Trace::count(nullptr, "settle.completed", 1000); // null: no-op
         trace.count("settle.retried", 0); // creates the node, count 0
     }
     const std::string json = trace.json();

@@ -178,12 +178,33 @@ TEST(AdmissionController, RejectionCountersAreTypedByReason) {
     BoundAdmission bound{smallConfig(), &metrics};
     AdmissionController& admission = bound.controller;
     admission.registerTenant(quotaFor("acme"));
+    admission.registerTenant(quotaFor("pauper", /*budgetUsd=*/0.0));
+    const auto query = queryRequest("acme", 0, 1);
+    const auto heavy = sweepRequest("acme", testutil::cableCuts({"ACE"}));
+    auto unknownWorkload = query;
+    unknownWorkload.workload = "nonesuch";
+    auto dead = query;
+    dead.deadlineNanos = 100;
+
+    // One decision per rung the controller issues.
     (void)admission.decide(queryRequest("ghost", 0, 1), 0, 0, 0);
-    (void)admission.decide(queryRequest("acme", 0, 1), 0, 4, 0);
-    (void)admission.decide(queryRequest("acme", 0, 1), 0, 0, 0);
-    EXPECT_EQ(metrics.counter("service.rejected.unknown_tenant").value(),
-              1u);
-    EXPECT_EQ(metrics.counter("service.rejected.queue_full").value(), 1u);
+    (void)admission.decide(unknownWorkload, 0, 0, 0);
+    (void)admission.decide(dead, 100, 0, 0);
+    (void)admission.decide(query, 0, 4, 0);
+    (void)admission.decide(heavy, 0, 2, 0);
+    (void)admission.decide(heavy, 0, 0, 1000);
+    (void)admission.decide(queryRequest("pauper", 0, 1), 0, 0, 0);
+    (void)admission.decide(query, 0, 0, 0);
+    for (const RejectReason reason :
+         {RejectReason::UnknownTenant, RejectReason::UnknownWorkload,
+          RejectReason::DeadlineUnmeetable, RejectReason::QueueFull,
+          RejectReason::Overloaded, RejectReason::MemoryPressure,
+          RejectReason::BudgetExhausted}) {
+        const std::string_view name = rejectedCounterName(reason);
+        EXPECT_EQ(name, "service.rejected." +
+                            std::string{rejectReasonName(reason)});
+        EXPECT_EQ(metrics.counter(name).value(), 1u) << name;
+    }
     EXPECT_EQ(metrics.counter("service.admitted").value(), 1u);
 }
 
