@@ -54,10 +54,12 @@ PathOracle::PathOracle(const PathOracle& baseline, const LinkFilter& filter,
     : RouteOracle(*baseline.topo_) {
     AIO_EXPECTS(baseline.unfiltered_,
                 "incremental baseline must be an unfiltered oracle");
+    graph_ = baseline.graph_;
     unfiltered_ = filter.empty();
     resolvedDirty_ = dirty.size();
     nextHop_ = baseline.nextHop_;
     klass_ = baseline.klass_;
+    const kernel::CompiledFilter compiled{*graph_, filter};
     const auto resolve = [&](topo::AsIndex dst,
                              kernel::DestScratch& scratch) {
         // The kernel assumes a cleared slab (it writes only the nodes it
@@ -67,8 +69,9 @@ PathOracle::PathOracle(const PathOracle& baseline, const LinkFilter& filter,
                     n_, -1);
         std::fill_n(klass_.begin() + static_cast<std::ptrdiff_t>(dst * n_),
                     n_, static_cast<std::uint8_t>(RouteClass::None));
-        kernel::solveDestination(*topo_, filter, dst, &nextHop_[dst * n_],
-                                 &klass_[dst * n_], scratch);
+        kernel::solveDestination(*graph_, compiled, dst,
+                                 &nextHop_[dst * n_], &klass_[dst * n_],
+                                 scratch);
     };
 
     if (pool == nullptr) {
@@ -94,30 +97,16 @@ PathOracle::dirtyDestinations(const LinkFilter& filter) const {
     AIO_EXPECTS(unfiltered_,
                 "dirty-set extraction needs an unfiltered baseline");
     std::vector<topo::AsIndex> dirty;
-    if (filter.empty()) {
-        return dirty;
-    }
-    if (filter.disabledAsCount() > 0) {
-        // A disabled AS changes its source row in every slab, so every
-        // destination is dirty — fall back to the full destination list.
-        dirty.resize(n_);
-        for (topo::AsIndex dst = 0; dst < n_; ++dst) {
-            dirty[dst] = dst;
-        }
-        return dirty;
-    }
-    const auto failed = filter.disabledLinks();
+    const kernel::DirtyRowProbe probe{filter, n_};
     for (topo::AsIndex dst = 0; dst < n_; ++dst) {
         const std::int32_t* next = &nextHop_[dst * n_];
-        for (const auto& [a, b] : failed) {
-            if (a >= n_ || b >= n_) {
-                continue; // not a topology adjacency; cannot carry routes
-            }
-            if (next[a] == static_cast<std::int32_t>(b) ||
-                next[b] == static_cast<std::int32_t>(a)) {
-                dirty.push_back(dst);
-                break;
-            }
+        if (probe.rowDirty([next](std::span<const topo::AsIndex> sources,
+                                  std::int32_t* out) {
+                for (std::size_t i = 0; i < sources.size(); ++i) {
+                    out[i] = next[sources[i]];
+                }
+            })) {
+            dirty.push_back(dst);
         }
     }
     return dirty;
@@ -125,9 +114,11 @@ PathOracle::dirtyDestinations(const LinkFilter& filter) const {
 
 void PathOracle::build(const LinkFilter& filter, exec::WorkerPool* pool) {
     AIO_EXPECTS(topo_->finalized(), "topology must be finalized");
+    graph_ = std::make_shared<const kernel::RouteGraph>(*topo_);
     unfiltered_ = filter.empty();
     nextHop_.assign(n_ * n_, -1);
     klass_.assign(n_ * n_, static_cast<std::uint8_t>(RouteClass::None));
+    const kernel::CompiledFilter compiled{*graph_, filter};
 
     if (pool == nullptr) {
         // Sequential reference: the plain destination loop the parallel
@@ -138,7 +129,7 @@ void PathOracle::build(const LinkFilter& filter, exec::WorkerPool* pool) {
         kernel::DestScratch scratch;
         scratch.prepare(n_);
         for (topo::AsIndex dst = 0; dst < n_; ++dst) {
-            kernel::solveDestination(*topo_, filter, dst,
+            kernel::solveDestination(*graph_, compiled, dst,
                                      &nextHop_[dst * n_], &klass_[dst * n_],
                                      scratch);
         }
@@ -154,7 +145,7 @@ void PathOracle::build(const LinkFilter& filter, exec::WorkerPool* pool) {
     // owns its scratch: no two lanes ever touch the same bytes, so the
     // result is independent of the chunk schedule.
     pool->parallelFor(n_, [&](std::size_t dst, std::size_t lane) {
-        kernel::solveDestination(*topo_, filter, dst, &nextHop_[dst * n_],
+        kernel::solveDestination(*graph_, compiled, dst, &nextHop_[dst * n_],
                                  &klass_[dst * n_], scratch[lane]);
     });
 }

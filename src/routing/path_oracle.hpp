@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "netbase/error.hpp"
+#include "routing/route_kernel.hpp"
 #include "routing/route_oracle.hpp"
 #include "topo/as_graph.hpp"
 
@@ -85,16 +87,12 @@ public:
                exec::WorkerPool* pool = nullptr);
 
     /// Destinations whose route slab can change under `filter`, read off
-    /// this (unfiltered) oracle's next-hop forest: destination d is dirty
-    /// iff d itself is disabled, or some failed link (a,b) is on d's
-    /// selected route forest (nextHop[d][a] == b or nextHop[d][b] == a).
-    /// Any AS-disabling filter dirties every destination (a disabled AS
-    /// invalidates its source row in every slab), so those return the
-    /// full destination list. Ascending order; exact, not conservative:
-    /// clean destinations keep byte-identical slabs because removing
-    /// links that carry no selected route shrinks only the unselected
-    /// candidate set, and every tie-break (class, then distance, then
-    /// lowest next-hop ASN) still picks the surviving incumbent.
+    /// this (unfiltered) oracle's next-hop forest by the dirty-row rule
+    /// both storage policies share (kernel::DirtyRowProbe): any
+    /// AS-disabling filter dirties every destination; otherwise d is
+    /// dirty iff some failed link (a,b) is on d's selected route forest
+    /// (nextHop[d][a] == b or nextHop[d][b] == a). Ascending order;
+    /// exact, not conservative.
     [[nodiscard]] std::vector<topo::AsIndex>
     dirtyDestinations(const LinkFilter& filter) const;
 
@@ -142,6 +140,7 @@ public:
 private:
     void build(const LinkFilter& filter, exec::WorkerPool* pool);
 
+    std::shared_ptr<const kernel::RouteGraph> graph_; ///< shared by derived
     bool unfiltered_ = false; ///< built with an empty filter (valid
                               ///< incremental baseline)
     std::size_t resolvedDirty_ = 0; ///< |dirty| of an incremental build

@@ -1,9 +1,7 @@
 #include "routing/sharded_oracle.hpp"
 
 #include <algorithm>
-#include <array>
 #include <limits>
-#include <map>
 #include <string>
 
 #include "exec/worker_pool.hpp"
@@ -28,40 +26,19 @@ ShardedOracle::ShardedOracle(const topo::Topology& topology,
                              const LinkFilter& filter,
                              const ShardedOracleConfig& config)
     : RouteOracle(topology),
-      csr_(std::make_shared<const topo::CsrAdjacency>(
-          topo::CsrAdjacency::fromTopology(topology))),
-      filter_(filter) {
+      graph_(std::make_shared<const kernel::RouteGraph>(topology)),
+      filter_(*graph_, filter), unfiltered_(filter.empty()) {
     layout(config);
 }
 
 ShardedOracle::ShardedOracle(DerivedTag,
                              std::shared_ptr<const ShardedOracle> baseline,
                              const LinkFilter& filter)
-    : RouteOracle(baseline->topology()), csr_(baseline->csr_),
-      filter_(filter), baseline_(std::move(baseline)) {
+    : RouteOracle(baseline->topology()), graph_(baseline->graph_),
+      filter_(*graph_, filter), unfiltered_(filter.empty()),
+      baseline_(std::move(baseline)), dirtyProbe_(filter, n_) {
     AIO_EXPECTS(baseline_->unfiltered(),
                 "incremental baseline must be an unfiltered oracle");
-    allRowsDirty_ = filter_.disabledAsCount() > 0;
-    if (!allRowsDirty_) {
-        // Group the failed links by endpoint (both directions — my next
-        // hop onto you, yours onto me), ordered for determinism.
-        std::map<topo::AsIndex, std::vector<topo::AsIndex>> grouped;
-        for (const auto& [a, b] : filter_.disabledLinks()) {
-            if (a < n_ && b < n_) {
-                grouped[a].push_back(b);
-                grouped[b].push_back(a);
-            }
-        }
-        failedPartnerOffsets_.push_back(0);
-        for (auto& [endpoint, partners] : grouped) {
-            std::ranges::sort(partners);
-            failedEndpoints_.push_back(endpoint);
-            failedPartners_.insert(failedPartners_.end(), partners.begin(),
-                                   partners.end());
-            failedPartnerOffsets_.push_back(
-                static_cast<std::uint32_t>(failedPartners_.size()));
-        }
-    }
     layout(baseline_->config_);
 }
 
@@ -84,7 +61,7 @@ void ShardedOracle::layout(const ShardedOracleConfig& config) {
     packBytesPerRow_ = (n_ + 3) / 4;
     wideRank_.assign(n_, kNotWide);
     for (topo::AsIndex src = 0; src < n_; ++src) {
-        if (csr_->degree(src) >= config_.narrowSlotLimit) {
+        if (graph_->csr.degree(src) >= config_.narrowSlotLimit) {
             wideRank_[src] = static_cast<std::uint32_t>(wideSrcs_.size());
             wideSrcs_.push_back(static_cast<std::uint32_t>(src));
         }
@@ -101,15 +78,13 @@ void ShardedOracle::layout(const ShardedOracleConfig& config) {
             std::max(maxShardBytes, shards_[i].rows * rowBytes());
     }
 
-    // A derived oracle shares the baseline's CSR: counting those bytes
+    // A derived oracle shares the baseline's graph: counting those bytes
     // once (on the root) keeps cache byte-accounting honest.
-    fixedBytes_ = (baseline_ ? 0 : csr_->memoryBytes()) +
+    fixedBytes_ = (baseline_ ? 0 : graph_->memoryBytes()) +
                   wideRank_.size() * sizeof(std::uint32_t) +
                   wideSrcs_.size() * sizeof(std::uint32_t) +
-                  rowState_.size() +
-                  failedEndpoints_.size() * sizeof(topo::AsIndex) +
-                  failedPartnerOffsets_.size() * sizeof(std::uint32_t) +
-                  failedPartners_.size() * sizeof(topo::AsIndex);
+                  rowState_.size() + filter_.memoryBytes() +
+                  dirtyProbe_.memoryBytes();
     residentBytes_.store(fixedBytes_, std::memory_order_relaxed);
 
     if (fixedBytes_ + maxShardBytes > config_.residentByteBudget) {
@@ -141,40 +116,10 @@ std::size_t ShardedOracle::residentShardCount() const {
 }
 
 bool ShardedOracle::classifyDirty(topo::AsIndex dst) const {
-    if (allRowsDirty_) {
-        return true;
-    }
-    // A row is dirty iff some failed link carries a selected route of
-    // the baseline forest for this destination — the same exactness
-    // argument as PathOracle::dirtyDestinations, probed per endpoint:
-    // endpoint e's baseline next hop toward dst landing on one of its
-    // failed partners is exactly "some failed (e, b) carries a selected
-    // route". The probes batch through the baseline row in chunks so
-    // the baseline lock is taken per chunk, not per failed link.
-    std::array<std::int32_t, 128> hops;
-    const std::span<const topo::AsIndex> endpoints{failedEndpoints_};
-    for (std::size_t base = 0; base < endpoints.size();
-         base += hops.size()) {
-        const std::size_t chunk =
-            std::min(hops.size(), endpoints.size() - base);
-        baseline_->nextHopsBatch(endpoints.subspan(base, chunk), dst,
-                                 hops.data());
-        for (std::size_t i = 0; i < chunk; ++i) {
-            if (hops[i] < 0) {
-                continue;
-            }
-            const auto first = failedPartners_.begin() +
-                               failedPartnerOffsets_[base + i];
-            const auto last = failedPartners_.begin() +
-                              failedPartnerOffsets_[base + i + 1];
-            if (std::binary_search(
-                    first, last,
-                    static_cast<topo::AsIndex>(hops[i]))) {
-                return true;
-            }
-        }
-    }
-    return false;
+    return dirtyProbe_.rowDirty(
+        [&](std::span<const topo::AsIndex> endpoints, std::int32_t* hops) {
+            baseline_->nextHopsBatch(endpoints, dst, hops);
+        });
 }
 
 void ShardedOracle::nextHopsBatch(std::span<const topo::AsIndex> srcs,
@@ -245,7 +190,8 @@ void ShardedOracle::evictShardLocked(std::size_t shardIndex) const {
 
 void ShardedOracle::encodeRow(topo::AsIndex dst,
                               const std::int32_t* rowNext,
-                              const std::uint8_t* rowKlass) const {
+                              const std::uint8_t* rowKlass,
+                              const std::uint32_t* hopSlot) const {
     Shard& shard = residentShardLocked(dst);
     const std::size_t r = dst - shard.firstDst;
     std::uint16_t* hops = shard.hops.data() + r * n_;
@@ -266,15 +212,11 @@ void ShardedOracle::encodeRow(topo::AsIndex dst,
         }
         pack[src >> 2] |= static_cast<std::uint8_t>(
             (k & 3u) << ((src & 3u) * 2));
-        const std::int32_t nh = rowNext[src];
         if (wideRank_[src] != kNotWide) {
             hops[src] = kHopWide;
-            wide[wideRank_[src]] = nh;
+            wide[wideRank_[src]] = rowNext[src];
         } else {
-            const std::int32_t slot =
-                csr_->slotOf(src, static_cast<topo::AsIndex>(nh));
-            AIO_EXPECTS(slot >= 0, "next hop is not a CSR neighbor");
-            hops[src] = static_cast<std::uint16_t>(slot);
+            hops[src] = static_cast<std::uint16_t>(hopSlot[src]);
         }
     }
 }
@@ -285,9 +227,9 @@ void ShardedOracle::solveRow(topo::AsIndex dst, std::int32_t* rowNext,
     std::fill_n(rowNext, n_, std::int32_t{-1});
     std::fill_n(rowKlass, n_,
                 static_cast<std::uint8_t>(RouteClass::None));
-    kernel::solveDestination(*topo_, filter_, dst, rowNext, rowKlass,
+    kernel::solveDestination(*graph_, filter_, dst, rowNext, rowKlass,
                              scratch);
-    encodeRow(dst, rowNext, rowKlass);
+    encodeRow(dst, rowNext, rowKlass, scratch.hopSlot.data());
 }
 
 bool ShardedOracle::ensureRowLocked(topo::AsIndex dst) const {
@@ -353,7 +295,8 @@ ShardedOracle::lookupLocked(topo::AsIndex src, topo::AsIndex dst) const {
     if (hop == kHopWide) {
         return {shard.wide[r * wideSrcs_.size() + wideRank_[src]], klass};
     }
-    return {static_cast<std::int32_t>(csr_->neighborAt(src, hop)), klass};
+    return {static_cast<std::int32_t>(graph_->csr.neighborAt(src, hop)),
+            klass};
 }
 
 std::shared_ptr<const RouteOracle>

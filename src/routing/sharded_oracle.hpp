@@ -97,9 +97,7 @@ public:
     [[nodiscard]] StoragePolicy storagePolicy() const override {
         return StoragePolicy::Sharded;
     }
-    [[nodiscard]] bool unfiltered() const override {
-        return filter_.empty();
-    }
+    [[nodiscard]] bool unfiltered() const override { return unfiltered_; }
 
     /// Lazy derivation; requires this oracle to be owned by a
     /// shared_ptr (it becomes the derived oracle's baseline). `pool` is
@@ -129,7 +127,7 @@ public:
     // ---- introspection (tests, benches, docs) ----
 
     [[nodiscard]] const topo::CsrAdjacency& adjacency() const {
-        return *csr_;
+        return graph_->csr;
     }
     [[nodiscard]] const ShardedOracleConfig& config() const {
         return config_;
@@ -198,28 +196,27 @@ private:
     void solveRow(topo::AsIndex dst, std::int32_t* rowNext,
                   std::uint8_t* rowKlass,
                   kernel::DestScratch& scratch) const;
+    /// `hopSlot` is the kernel's per-source next-hop CSR slot, so the
+    /// encoding stores it directly instead of searching each row.
     void encodeRow(topo::AsIndex dst, const std::int32_t* rowNext,
-                   const std::uint8_t* rowKlass) const;
+                   const std::uint8_t* rowKlass,
+                   const std::uint32_t* hopSlot) const;
     Shard& residentShardLocked(topo::AsIndex dst) const;
     void enforceBudgetLocked(std::size_t protectedShard) const;
     void evictShardLocked(std::size_t shardIndex) const;
     [[nodiscard]] std::pair<std::int32_t, RouteClass>
     lookupLocked(topo::AsIndex src, topo::AsIndex dst) const;
 
-    std::shared_ptr<const topo::CsrAdjacency> csr_;
-    LinkFilter filter_;
+    /// CSR + ASNs, built by the root oracle and shared with every
+    /// oracle derived from it.
+    std::shared_ptr<const kernel::RouteGraph> graph_;
+    kernel::CompiledFilter filter_;
+    bool unfiltered_ = true;
     ShardedOracleConfig config_; ///< normalized (budget resolved, limit clamped)
     std::shared_ptr<const ShardedOracle> baseline_; ///< set on derived only
-    // Derived, link-only filters: the dirty probes, grouped CSR-style by
-    // endpoint. A row is dirty iff some endpoint's baseline next hop
-    // toward it lands on a failed partner, so classification costs one
-    // batched baseline row visit per |endpoints| — not two locked
-    // lookups per failed *link*, which is quadratic misery when a
-    // corridor cut fails thousands of links sharing a few landing hubs.
-    std::vector<topo::AsIndex> failedEndpoints_;
-    std::vector<std::uint32_t> failedPartnerOffsets_; ///< endpoints+1
-    std::vector<topo::AsIndex> failedPartners_; ///< sorted per endpoint
-    bool allRowsDirty_ = false; ///< derived: filter disables an AS
+    /// Derived only: the dirty-row rule, its baseline next-hop probes
+    /// batched per row through nextHopsBatch.
+    kernel::DirtyRowProbe dirtyProbe_;
 
     std::size_t hopBytesPerRow_ = 0;
     std::size_t packBytesPerRow_ = 0;

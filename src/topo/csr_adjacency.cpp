@@ -77,6 +77,36 @@ CsrAdjacency::fromEdges(std::size_t asCount, std::span<const AsLink> edges) {
         csr.maxDegree_ = std::max(
             csr.maxDegree_, static_cast<std::uint32_t>(end - begin));
     }
+
+    // Pass 4: the routing kernel's derived arenas. Rows are visited in
+    // ascending owner order, so the k-th visit into row b comes from b's
+    // k-th smallest neighbor — which is b's slot k: a per-row cursor
+    // yields every twin in one linear pass.
+    csr.relOrder_.resize(csr.neighbors_.size());
+    csr.relBounds_.resize(2 * asCount);
+    csr.twins_.resize(csr.neighbors_.size());
+    std::vector<std::uint32_t> twinCursor(asCount, 0);
+    for (AsIndex idx = 0; idx < asCount; ++idx) {
+        const std::size_t begin = offsets[idx];
+        const auto degree = static_cast<std::uint32_t>(offsets[idx + 1] - begin);
+        std::uint32_t* order = csr.relOrder_.data() + begin;
+        std::uint32_t filled = 0;
+        for (const CsrRel rel :
+             {CsrRel::Provider, CsrRel::Customer, CsrRel::Peer}) {
+            if (rel != CsrRel::Provider) {
+                csr.relBounds_[2 * idx + static_cast<std::size_t>(rel) - 1] =
+                    filled;
+            }
+            for (std::uint32_t s = 0; s < degree; ++s) {
+                if (csr.rel_[begin + s] == static_cast<std::uint8_t>(rel)) {
+                    order[filled++] = s;
+                }
+            }
+        }
+        for (std::uint32_t s = 0; s < degree; ++s) {
+            csr.twins_[begin + s] = twinCursor[csr.neighbors_[begin + s]]++;
+        }
+    }
     csr.offsets_ = std::move(offsets);
     return csr;
 }

@@ -27,6 +27,12 @@ enum class CsrRel : std::uint8_t {
 /// which is what lets the sharded route oracle store next hops as
 /// uint16 slot references instead of 32-bit AS indices.
 ///
+/// Two derived arenas serve the routing kernel: a relation-grouped slot
+/// order per row (providers, customers, peers each contiguous, so a
+/// phase walks only the relation it propagates over) and a twin slot per
+/// slot (the same edge's slot in the neighbor's row, so a next hop
+/// claimed across an edge is already a slot reference, no search).
+///
 /// Immutable once built; all queries are const and thread-safe.
 class CsrAdjacency {
 public:
@@ -77,11 +83,37 @@ public:
     /// the adjacency does not exist.
     [[nodiscard]] std::int32_t slotOf(AsIndex idx, AsIndex neighbor) const;
 
-    /// Resident bytes of the three arenas.
+    /// Arena position of row `idx`'s slot 0: slot s of the row is arena
+    /// slot rowBegin(idx) + s, the index per-slot bitmasks use.
+    [[nodiscard]] std::uint64_t rowBegin(AsIndex idx) const {
+        return offsets_[idx];
+    }
+    /// Directed slots across all rows (2 · edgeCount()).
+    [[nodiscard]] std::size_t slotCount() const { return neighbors_.size(); }
+
+    /// Row `idx`'s slots whose neighbor has relation `rel` to it,
+    /// ascending by neighbor index.
+    [[nodiscard]] std::span<const std::uint32_t> slotsOf(AsIndex idx,
+                                                         CsrRel rel) const {
+        const std::uint32_t* bounds = relBounds_.data() + 2 * idx;
+        const auto r = static_cast<std::uint8_t>(rel);
+        const std::uint32_t lo = r == 0 ? 0 : bounds[r - 1];
+        const std::uint32_t hi = r == 2 ? degree(idx) : bounds[r];
+        return {relOrder_.data() + offsets_[idx] + lo, hi - lo};
+    }
+    /// Row `idx`'s twin slots, parallel to neighbors(): entry s is the
+    /// slot of `idx` within the row of neighbors(idx)[s].
+    [[nodiscard]] std::span<const std::uint32_t> twins(AsIndex idx) const {
+        return {twins_.data() + offsets_[idx], degree(idx)};
+    }
+
+    /// Resident bytes of the arenas.
     [[nodiscard]] std::size_t memoryBytes() const {
         return offsets_.size() * sizeof(std::uint64_t) +
                neighbors_.size() * sizeof(std::uint32_t) +
-               rel_.size() * sizeof(std::uint8_t);
+               rel_.size() * sizeof(std::uint8_t) +
+               (relOrder_.size() + twins_.size() + relBounds_.size()) *
+                   sizeof(std::uint32_t);
     }
 
     /// CRC-32C over the arenas (node count, offsets, neighbors,
@@ -95,6 +127,9 @@ private:
     std::vector<std::uint64_t> offsets_;   ///< n+1 row boundaries
     std::vector<std::uint32_t> neighbors_; ///< 2·edges neighbor indices
     std::vector<std::uint8_t> rel_;        ///< CsrRel per slot
+    std::vector<std::uint32_t> relOrder_;  ///< row slots grouped by CsrRel
+    std::vector<std::uint32_t> relBounds_; ///< per row: customer, peer start
+    std::vector<std::uint32_t> twins_;     ///< per slot: twin slot
 };
 
 } // namespace aio::topo
