@@ -116,6 +116,13 @@ Substrate::validate(const topo::Topology& topology,
 Substrate::Substrate(const topo::Topology& topology,
                      phys::CableRegistry registry, dns::DnsConfig dnsConfig,
                      content::ContentConfig contentConfig, Options options)
+    : Substrate(nullptr, topology, std::move(registry), dnsConfig,
+                contentConfig, options) {}
+
+Substrate::Substrate(const outage::ImpactAnalyzer* parentAnalyzer,
+                     const topo::Topology& topology,
+                     phys::CableRegistry registry, dns::DnsConfig dnsConfig,
+                     content::ContentConfig contentConfig, Options options)
     : topo_(&topology),
       registry_(std::make_unique<phys::CableRegistry>(std::move(registry))),
       dnsConfig_(dnsConfig), contentConfig_(contentConfig),
@@ -132,9 +139,14 @@ Substrate::Substrate(const topo::Topology& topology,
         *topo_, dnsConfig_, options_.seed + 1);
     catalog_ = std::make_unique<content::ContentCatalog>(
         *topo_, contentConfig_, options_.seed + 2);
-    analyzer_ = std::make_unique<outage::ImpactAnalyzer>(
-        *topo_, *linkMap_, *resolvers_, *catalog_, options_.impact,
-        options_.oracleCache, options_.pool, options_.metrics);
+    analyzer_ =
+        parentAnalyzer != nullptr
+            ? std::make_unique<outage::ImpactAnalyzer>(
+                  *parentAnalyzer, *linkMap_, *resolvers_, *catalog_,
+                  options_.oracleCache, options_.pool)
+            : std::make_unique<outage::ImpactAnalyzer>(
+                  *topo_, *linkMap_, *resolvers_, *catalog_, options_.impact,
+                  options_.oracleCache, options_.pool, options_.metrics);
 }
 
 net::Expected<Substrate>
@@ -150,18 +162,14 @@ Substrate::tryCreate(const topo::Topology& topology,
                      contentConfig, options};
 }
 
-Substrate Substrate::withOverlay(const ScenarioSpec& spec,
-                                 route::OracleCache* oracleCache,
-                                 exec::WorkerPool* pool) const {
+Substrate Substrate::withOverlay(const ScenarioSpec& spec) const {
     phys::CableRegistry registry = *registry_;
     for (const phys::SubseaCable& cable : spec.cablesAdded) {
         registry.addCable(cable);
     }
     Options options = options_;
     options.linkConfig = spec.linkMapOverride.value_or(options_.linkConfig);
-    options.oracleCache = oracleCache;
-    options.pool = pool;
-    return Substrate{*topo_, std::move(registry),
+    return Substrate{analyzer_.get(), *topo_, std::move(registry),
                      spec.dnsOverride.value_or(dnsConfig_),
                      spec.contentOverride.value_or(contentConfig_), options};
 }

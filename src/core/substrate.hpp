@@ -134,16 +134,24 @@ public:
 
     /// This substrate with `spec`'s overlay applied: its cables added to
     /// the registry and each set override replacing the matching config.
-    /// Topology, seed, impact config and metrics carry over; the route
-    /// cache and pool are the caller's explicit choice. The layers are
-    /// re-derived from the same seeds, so before/after differences
-    /// isolate the overlay. Throws net::PreconditionError on an override
+    /// Topology, seed, impact config and accelerators carry over. The
+    /// layers are re-derived from the same seeds, so before/after
+    /// differences isolate the overlay — except the baseline route
+    /// oracle, which the derived analyzer borrows from this one's (an
+    /// overlay never changes the AS graph), so a derived substrate never
+    /// builds a baseline. Throws net::PreconditionError on an override
     /// validate() would reject.
-    [[nodiscard]] Substrate withOverlay(const ScenarioSpec& spec,
-                                        route::OracleCache* oracleCache,
-                                        exec::WorkerPool* pool) const;
+    [[nodiscard]] Substrate withOverlay(const ScenarioSpec& spec) const;
 
 private:
+    /// The one construction path: validates, derives the layers, and
+    /// builds the analyzer — borrowing `parentAnalyzer`'s baseline oracle
+    /// when this is an overlay of it.
+    Substrate(const outage::ImpactAnalyzer* parentAnalyzer,
+              const topo::Topology& topology, phys::CableRegistry registry,
+              dns::DnsConfig dnsConfig, content::ContentConfig contentConfig,
+              Options options);
+
     const topo::Topology* topo_;
     /// Heap-held so its address is stable under Substrate moves: the
     /// derived layers (PhysicalLinkMap, and through it the analyzer's

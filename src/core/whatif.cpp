@@ -10,8 +10,8 @@ WhatIfEngine::WhatIfEngine(const Substrate& substrate)
     : substrate_(&substrate) {}
 
 WhatIfEngine WhatIfEngine::withScenario(const ScenarioSpec& spec) const {
-    auto overlay = std::make_unique<const Substrate>(substrate_->withOverlay(
-        spec, substrate_->oracleCache(), substrate_->pool()));
+    auto overlay =
+        std::make_unique<const Substrate>(substrate_->withOverlay(spec));
     WhatIfEngine engine{*overlay};
     engine.owned_ = std::move(overlay);
     return engine;

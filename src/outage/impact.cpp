@@ -47,6 +47,23 @@ ImpactAnalyzer::ImpactAnalyzer(const topo::Topology& topology,
                                route::LinkFilter{}, pool_,
                                config_.shardedRouting);
     }
+    computeBaselineSuccess();
+}
+
+ImpactAnalyzer::ImpactAnalyzer(const ImpactAnalyzer& parent,
+                               const phys::PhysicalLinkMap& linkMap,
+                               const dns::ResolverEcosystem& resolvers,
+                               const content::ContentCatalog& catalog,
+                               route::OracleCache* oracleCache,
+                               exec::WorkerPool* pool)
+    : topo_(parent.topo_), linkMap_(&linkMap), resolvers_(&resolvers),
+      catalog_(&catalog), config_(parent.config_), oracleCache_(oracleCache),
+      pool_(pool), metrics_(parent.metrics_),
+      baselineOracle_(parent.baselineOracle_) {
+    computeBaselineSuccess();
+}
+
+void ImpactAnalyzer::computeBaselineSuccess() {
     for (const auto* country : net::CountryTable::world().african()) {
         baselineSuccess_.emplace(
             std::string{country->iso2},

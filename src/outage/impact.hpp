@@ -84,6 +84,19 @@ public:
                    exec::WorkerPool* pool = nullptr,
                    obs::MetricsRegistry* metrics = nullptr);
 
+    /// Overlay derivation: an analyzer over an overlay's own link-map,
+    /// resolver and catalog layers that borrows `parent`'s baseline
+    /// oracle. An overlay never changes the AS graph, so the parent's
+    /// no-failure routing state is this analyzer's too; only the
+    /// page-load baseline, which depends on the resolvers and catalog, is
+    /// recomputed. Topology, config and metrics carry over from `parent`.
+    ImpactAnalyzer(const ImpactAnalyzer& parent,
+                   const phys::PhysicalLinkMap& linkMap,
+                   const dns::ResolverEcosystem& resolvers,
+                   const content::ContentCatalog& catalog,
+                   route::OracleCache* oracleCache,
+                   exec::WorkerPool* pool);
+
     /// Routing filter describing the event's physical/administrative
     /// damage (cable cuts -> failed subsea links; power/shutdown ->
     /// disabled ASes; routing incident -> flapped links).
@@ -122,6 +135,9 @@ public:
     [[nodiscard]] const ImpactConfig& config() const { return config_; }
 
 private:
+    /// Page-load success of every African country against the baseline.
+    void computeBaselineSuccess();
+
     /// The scoring core shared by assess / assessWithOracle: per-country
     /// page-load loss, DNS failure and recovery sampling against
     /// `degraded`. Uninstrumented; callers own the timer/counter.

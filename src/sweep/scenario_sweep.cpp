@@ -305,13 +305,11 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
                 metrics, "sweep.scenario_seconds"};
             const std::size_t slot = overlay[k];
             const core::ScenarioSpec& spec = scenarios[slot];
-            // No cache / no pool inside a lane: the cache's miss path
-            // builds with its own pool (reentrancy), and the overlay's
-            // layers differ from the substrate's anyway. Results are
-            // byte-identical either way (oracle content depends only on
-            // topology + filter).
-            const core::Substrate derived = substrate_->withOverlay(
-                spec, /*oracleCache=*/nullptr, /*pool=*/nullptr);
+            // The derived analyzer borrows the substrate's baseline
+            // oracle, so deriving the overlay builds no routing state;
+            // nothing below reaches its accelerators (no assess(), no
+            // pool-parallel build inside this lane).
+            const core::Substrate derived = substrate_->withOverlay(spec);
             // makeEvent resolves against the *augmented* registry and
             // canonicalizes the cut set; a cut-free event is an add-only
             // build-out future, scored against the overlay's own
@@ -323,10 +321,9 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
             }
             // Mirror WhatIfEngine::assess() draw for draw — a fresh
             // seed+7 stream advanced through filterFor, then scoring — but
-            // resolve the degraded oracle incrementally from the
-            // overlay's baseline (oracle content depends only on
-            // topology + filter, so results are byte-identical to a
-            // from-scratch build).
+            // resolve the degraded oracle incrementally from the shared
+            // baseline (oracle content depends only on topology + filter,
+            // so results are byte-identical to a from-scratch build).
             const outage::ImpactAnalyzer& overlayAnalyzer = derived.analyzer();
             net::Rng rng{substrate_->seed() + 7};
             const route::LinkFilter filter =
