@@ -65,7 +65,7 @@ struct World {
         : topo(topo::TopologyGenerator{topo::GeneratorConfig::defaults()}
                    .generate()),
           pool(benchThreadCount()),
-          oracle(topo, route::LinkFilter{}, pool), engine(topo, oracle),
+          oracle(topo, route::LinkFilter{}, &pool), engine(topo, oracle),
           registry(phys::CableRegistry::africanDefaults()),
           mapRng(kWorldSeed), linkMap(topo, registry, mapRng),
           resolvers(topo, dns::DnsConfig::defaults(), kWorldSeed + 1),

@@ -78,7 +78,7 @@ void BM_PathOracleParallelBuild(benchmark::State& state) {
     const auto& topo = world();
     exec::WorkerPool pool{static_cast<int>(state.range(0))};
     for (auto _ : state) {
-        const route::PathOracle oracle{topo, route::LinkFilter{}, pool};
+        const route::PathOracle oracle{topo, route::LinkFilter{}, &pool};
         benchmark::DoNotOptimize(&oracle);
     }
     state.SetLabel(std::to_string(state.range(0)) + " threads, " +

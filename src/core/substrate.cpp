@@ -77,11 +77,9 @@ validContentConfig(const content::ContentConfig& config) {
 
 net::Expected<void>
 Substrate::validate(const topo::Topology& topology,
-                    const phys::CableRegistry& registry,
                     const dns::DnsConfig& dnsConfig,
                     const content::ContentConfig& contentConfig,
                     const Options& options) {
-    (void)registry; // no structural constraints today; reserved
     if (!topology.finalized()) {
         return net::Error::precondition(
             "substrate topology must be finalized");
@@ -127,8 +125,7 @@ Substrate::Substrate(const outage::ImpactAnalyzer* parentAnalyzer,
       registry_(std::make_unique<phys::CableRegistry>(std::move(registry))),
       dnsConfig_(dnsConfig), contentConfig_(contentConfig),
       options_(options) {
-    const auto valid =
-        validate(topology, *registry_, dnsConfig_, contentConfig_, options_);
+    const auto valid = validate(topology, dnsConfig_, contentConfig_, options_);
     if (!valid) {
         valid.error().raise();
     }
@@ -153,13 +150,29 @@ net::Expected<Substrate>
 Substrate::tryCreate(const topo::Topology& topology,
                      phys::CableRegistry registry, dns::DnsConfig dnsConfig,
                      content::ContentConfig contentConfig, Options options) {
-    auto valid =
-        validate(topology, registry, dnsConfig, contentConfig, options);
+    auto valid = validate(topology, dnsConfig, contentConfig, options);
     if (!valid) {
         return valid.error();
     }
     return Substrate{topology, std::move(registry), dnsConfig,
                      contentConfig, options};
+}
+
+net::Rng Substrate::scoringStream() const {
+    return net::Rng{seed() + 7};
+}
+
+net::Expected<RoutingRequest>
+Substrate::routingRequest(const ScenarioSpec& spec) const {
+    // makeEvent canonicalizes the cut set (sorted, deduplicated), so
+    // permuted or duplicated cut lists compile to one filter digest.
+    auto event = spec.makeEvent(*registry_);
+    if (!event) {
+        return event.error();
+    }
+    RoutingRequest request{std::move(event.value()), {}, scoringStream()};
+    request.filter = analyzer_->filterFor(request.event, request.rng);
+    return request;
 }
 
 Substrate Substrate::withOverlay(const ScenarioSpec& spec) const {

@@ -50,7 +50,7 @@ outage::ImpactReport
 WhatIfEngine::assess(const outage::OutageEvent& event) const {
     const obs::ScopedTimer timer{substrate_->metrics(),
                                  "whatif.assess_seconds"};
-    net::Rng rng{substrate_->seed() + 7};
+    net::Rng rng = substrate_->scoringStream();
     return substrate_->analyzer().assess(event, rng);
 }
 
@@ -62,7 +62,7 @@ double WhatIfEngine::contentLocalShare() const {
 double
 WhatIfEngine::dnsFailureShare(std::string_view country,
                               const outage::OutageEvent& event) const {
-    net::Rng rng{substrate_->seed() + 7};
+    net::Rng rng = substrate_->scoringStream();
     const auto report = substrate_->analyzer().assess(event, rng);
     for (const auto& impact : report.countries) {
         if (impact.country == country) {

@@ -365,14 +365,11 @@ CampaignPlanner::compile(const MeasurementQuestion& question) const {
     route::OracleCache* cache = substrate_->oracleCache();
     for (PlannedTask& task : tasks) {
         if (task.scenario && cache != nullptr) {
-            if (auto event =
-                    task.scenario->makeEvent(substrate_->registry())) {
-                // Same rng derivation the sweep's plan phase uses, so the
-                // peeked digest is exactly the one the sweep will look up.
-                net::Rng rng{substrate_->seed() + 7};
-                const route::LinkFilter filter =
-                    substrate_->analyzer().filterFor(*event, rng);
-                task.prunedByCache = cache->peek(filter) != nullptr;
+            // The sweep keys its lookup by the same routing request, so
+            // the peeked digest is exactly the one the sweep will look up.
+            if (auto request = substrate_->routingRequest(*task.scenario)) {
+                task.prunedByCache =
+                    cache->peek(request.value().filter) != nullptr;
             }
         }
         task.payloadMb = taskPayloadMb(task);

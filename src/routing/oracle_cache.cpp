@@ -130,6 +130,18 @@ OracleCacheStats OracleCache::stats() const {
     return stats_;
 }
 
+std::uint64_t
+OracleCache::residentBytesWith(const RouteOracle& pinned) const {
+    const std::lock_guard<std::mutex> lock{mutex_};
+    std::uint64_t total = pinned.memoryBytes();
+    for (const Entry& entry : lru_) {
+        if (entry.oracle.get() != &pinned) {
+            total += entry.oracle->memoryBytes();
+        }
+    }
+    return total;
+}
+
 void OracleCache::resetStats() {
     const std::lock_guard<std::mutex> lock{mutex_};
     const std::size_t entries = stats_.entries;

@@ -28,34 +28,22 @@ void checkDenseCeiling(std::size_t n, std::size_t ceilingBytes) {
 } // namespace
 
 PathOracle::PathOracle(const topo::Topology& topology,
-                       const LinkFilter& filter,
+                       const LinkFilter& filter, exec::WorkerPool* pool,
                        std::size_t memoryCeilingBytes)
     : RouteOracle(topology) {
     checkDenseCeiling(n_, memoryCeilingBytes);
-    build(filter, nullptr);
-}
-
-PathOracle::PathOracle(const topo::Topology& topology,
-                       const LinkFilter& filter, exec::WorkerPool& pool,
-                       std::size_t memoryCeilingBytes)
-    : RouteOracle(topology) {
-    checkDenseCeiling(n_, memoryCeilingBytes);
-    build(filter, &pool);
+    build(filter, pool);
 }
 
 PathOracle::PathOracle(const PathOracle& baseline, const LinkFilter& filter,
-                       exec::WorkerPool* pool)
-    : PathOracle(baseline, filter,
-                 baseline.dirtyDestinations(filter), pool) {}
-
-PathOracle::PathOracle(const PathOracle& baseline, const LinkFilter& filter,
-                       std::span<const topo::AsIndex> dirty,
                        exec::WorkerPool* pool)
     : RouteOracle(*baseline.topo_) {
     AIO_EXPECTS(baseline.unfiltered_,
                 "incremental baseline must be an unfiltered oracle");
     graph_ = baseline.graph_;
     unfiltered_ = filter.empty();
+    const std::vector<topo::AsIndex> dirty =
+        baseline.dirtyDestinations(filter);
     resolvedDirty_ = dirty.size();
     nextHop_ = baseline.nextHop_;
     klass_ = baseline.klass_;

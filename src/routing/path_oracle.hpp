@@ -49,17 +49,16 @@ inline constexpr std::size_t kDefaultDenseCeilingBytes =
 /// bytes through the query surface).
 class PathOracle : public RouteOracle {
 public:
-    /// Sequential reference construction. Throws net::CapacityError when
-    /// the dense matrices would exceed `memoryCeilingBytes`.
+    /// From-scratch construction. `pool` (optional) shards the
+    /// per-destination slabs; nullptr builds sequentially, the reference
+    /// the parallel build must equal byte for byte. Throws
+    /// net::CapacityError when the dense matrices would exceed
+    /// `memoryCeilingBytes`.
     explicit PathOracle(const topo::Topology& topology,
                         const LinkFilter& filter = {},
+                        exec::WorkerPool* pool = nullptr,
                         std::size_t memoryCeilingBytes =
                             kDefaultDenseCeilingBytes);
-
-    /// Parallel construction: per-destination slabs sharded across `pool`.
-    PathOracle(const topo::Topology& topology, const LinkFilter& filter,
-               exec::WorkerPool& pool,
-               std::size_t memoryCeilingBytes = kDefaultDenseCeilingBytes);
 
     /// Incremental derivation from an unfiltered baseline: copies the
     /// baseline matrices and re-solves only the destinations
@@ -74,16 +73,6 @@ public:
     /// Throws net::PreconditionError when `baseline` was itself built
     /// with a non-empty filter.
     PathOracle(const PathOracle& baseline, const LinkFilter& filter,
-               exec::WorkerPool* pool = nullptr);
-
-    /// Incremental derivation with the dirty set already extracted:
-    /// `dirty` must be exactly what `baseline.dirtyDestinations(filter)`
-    /// returns. Lets a caller that needs the set anyway (the sweep
-    /// engine reports |dirty| in its stats) scan the next-hop forest
-    /// once instead of twice; the two-argument overload above delegates
-    /// here.
-    PathOracle(const PathOracle& baseline, const LinkFilter& filter,
-               std::span<const topo::AsIndex> dirty,
                exec::WorkerPool* pool = nullptr);
 
     /// Destinations whose route slab can change under `filter`, read off

@@ -369,11 +369,7 @@ buildOracle(const topo::Topology& topology, StoragePolicy policy,
             const LinkFilter& filter, exec::WorkerPool* pool,
             const ShardedOracleConfig& shardedConfig) {
     if (policy == StoragePolicy::Dense) {
-        if (pool != nullptr) {
-            return std::make_shared<const PathOracle>(topology, filter,
-                                                      *pool);
-        }
-        return std::make_shared<const PathOracle>(topology, filter);
+        return std::make_shared<const PathOracle>(topology, filter, pool);
     }
     return std::make_shared<const ShardedOracle>(topology, filter,
                                                  shardedConfig);

@@ -52,8 +52,10 @@ ServiceSnapshot::build(topo::Topology topology, phys::CableRegistry registry,
 }
 
 std::uint64_t ServiceSnapshot::residentBytes() const {
-    return substrate_->analyzer().baselineOracle()->memoryBytes() +
-           cache_->stats().retainedBytes;
+    // The analyzer took its baseline from the cache, so the baseline is
+    // usually an entry too; counted once, and still counted once evicted.
+    return cache_->residentBytesWith(
+        *substrate_->analyzer().baselineOracle());
 }
 
 } // namespace aio::service

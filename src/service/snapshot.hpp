@@ -71,7 +71,8 @@ public:
     [[nodiscard]] route::OracleCache& cache() const { return *cache_; }
 
     /// Approximate resident footprint: baseline oracle + live cache
-    /// entries. What the admission watermarks meter.
+    /// entries, each oracle counted once. What the admission watermarks
+    /// meter.
     [[nodiscard]] std::uint64_t residentBytes() const;
 
 private:

@@ -21,20 +21,23 @@ namespace aio::sweep {
 
 namespace {
 
-/// One validated, non-overlay scenario waiting on its degraded oracle.
-struct PlainJob {
+/// Eyeball pairs sampled per unique routing state for detourShare (fixed
+/// seed, so the share is deterministic for a given substrate).
+constexpr std::size_t kDetourSamplePairs = 128;
+
+/// One validated scenario waiting on its degraded routing state.
+struct ScenarioJob {
     std::size_t slot = 0; ///< index into the result vector
+    /// The sweep's substrate, or the scenario's own overlay of it.
+    const core::Substrate* substrate = nullptr;
     outage::OutageEvent event;
-    std::size_t oracleIndex = 0; ///< into the unique-oracle list
-    /// Scoring stream, already advanced through filterFor exactly as
-    /// WhatIfEngine::assess advances it — so scoring matches assess()
-    /// byte for byte even if filter derivation ever starts drawing for
-    /// cable cuts, with no cross-scenario stream sharing to make the
-    /// batch order observable.
+    /// The routing request's scoring stream: per scenario, so the batch
+    /// order stays unobservable.
     net::Rng rng{0};
+    std::size_t oracleIndex = 0; ///< into the unique-oracle list
 };
 
-/// One unique cut-set routing state shared by >= 1 plain scenarios.
+/// One unique degraded routing state shared by >= 1 scenarios.
 struct OracleJob {
     route::LinkFilter filter;
     std::shared_ptr<const route::RouteOracle> oracle; ///< resolved
@@ -91,7 +94,6 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
     const obs::ScopedTimer batchTimer{metrics, "sweep.batch_seconds"};
 
     const std::size_t n = scenarios.size();
-    const outage::ImpactAnalyzer& analyzer = substrate_->analyzer();
     exec::WorkerPool* pool = substrate_->pool();
     route::OracleCache* cache = substrate_->oracleCache();
     const bool incremental = options_.mode == RecomputeMode::Incremental;
@@ -116,50 +118,64 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
     std::vector<std::optional<net::Expected<outage::ImpactReport>>> slots(n);
     std::vector<std::optional<ScenarioAggregates>> aggSlots(n);
     // Content locality of the substrate's baseline catalog — shared by
-    // every scenario that does not override content config.
+    // every plain scenario.
     const double baselineLocalShare =
         options_.scenarioAggregates
             ? content::LocalityAnalyzer{substrate_->catalog()}
                   .overallLocalShare()
             : 0.0;
 
-    // ---- plan: validate, split plain vs overlay, dedupe cut sets ----
-    std::vector<PlainJob> plain;
-    std::vector<std::size_t> overlay;
+    // ---- plan: validate, derive overlays, dedupe routing states ----
+    std::vector<ScenarioJob> jobs;
+    std::vector<std::optional<core::Substrate>> overlays;
     std::vector<OracleJob> oracles;
     {
         const obs::Span planSpan = obs::Trace::enter(trace, "plan");
+        std::vector<std::size_t> overlaySlots;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (auto valid = scenarios[i].validate(*substrate_); !valid) {
+                slots[i].emplace(valid.error());
+            } else if (scenarios[i].hasOverlay()) {
+                overlaySlots.push_back(i);
+            }
+        }
+        // Each overlay re-derives its layers, borrowing the substrate's
+        // baseline oracle, so deriving one builds no routing state and
+        // never reaches the pool from inside a lane.
+        overlays.resize(overlaySlots.size());
+        {
+            const obs::Span overlaySpan = obs::Trace::enter(trace, "overlay");
+            forEach(pool, overlays.size(), [&](std::size_t k) {
+                overlays[k].emplace(
+                    substrate_->withOverlay(scenarios[overlaySlots[k]]));
+            }, options_.cancel);
+        }
+        result.stats.overlayScenarios = overlays.size();
+
+        // An overlay never changes the AS graph, so a degraded routing
+        // state depends only on its filter: plain and overlay scenarios
+        // share one dedupe table (and the substrate's cache).
         std::unordered_map<route::FilterDigest, std::size_t,
                            route::FilterDigestHash>
             oracleByDigest;
+        std::size_t nextOverlay = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            const core::ScenarioSpec& spec = scenarios[i];
-            if (auto valid = spec.validate(*substrate_); !valid) {
-                slots[i].emplace(valid.error());
-                continue;
+            if (slots[i].has_value()) {
+                continue; // failed validation
             }
-            if (spec.hasOverlay()) {
-                overlay.push_back(i);
-                continue;
-            }
-            PlainJob job;
+            ScenarioJob job;
             job.slot = i;
-            // makeEvent canonicalizes the cut set (sorted, deduplicated),
-            // so permuted or duplicated cut lists digest to one oracle
-            // below instead of triggering redundant rebuilds.
-            auto event = spec.makeEvent(substrate_->registry());
-            if (!event) {
-                slots[i].emplace(event.error());
+            job.substrate = scenarios[i].hasOverlay()
+                                ? &*overlays[nextOverlay++]
+                                : substrate_;
+            auto request = job.substrate->routingRequest(scenarios[i]);
+            if (!request) {
+                slots[i].emplace(request.error());
                 continue;
             }
-            job.event = std::move(event.value());
-            // Mirror WhatIfEngine::assess exactly: a fresh seed+7 stream
-            // per scenario, advanced through filterFor, then handed to
-            // scoring — each scenario's draws depend only on the
-            // substrate seed and its own spec, never on batch order.
-            net::Rng rng{substrate_->seed() + 7};
-            route::LinkFilter filter = analyzer.filterFor(job.event, rng);
-            job.rng = rng;
+            job.event = std::move(request.value().event);
+            job.rng = request.value().rng;
+            route::LinkFilter& filter = request.value().filter;
             if (incremental) {
                 const route::FilterDigest digest = filter.digest();
                 if (const auto it = oracleByDigest.find(digest);
@@ -176,7 +192,7 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
                 job.oracleIndex = oracles.size();
                 oracles.emplace_back().filter = std::move(filter);
             }
-            plain.push_back(std::move(job));
+            jobs.push_back(std::move(job));
         }
     }
 
@@ -196,7 +212,7 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
             }
         }
         const std::shared_ptr<const route::RouteOracle>& baseline =
-            analyzer.baselineOracle();
+            substrate_->analyzer().baselineOracle();
         forEach(pool, oracles.size(), [&](std::size_t j) {
             OracleJob& job = oracles[j];
             if (job.oracle != nullptr) {
@@ -251,35 +267,43 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
             // order, thread count or cache temperature.
             net::Rng rng{substrate_->seed() + 11};
             job.detourShare =
-                studies.detourStudy(options_.detourSamplePairs, rng)
+                studies.detourStudy(kDetourSamplePairs, rng)
                     .overallDetourShare;
         }, options_.cancel);
     }
 
-    // ---- score: assess every plain scenario against its oracle ----
+    // ---- score: assess every scenario against its oracle ----
     {
         checkpoint();
         const obs::Span scoreSpan = obs::Trace::enter(trace, "score");
-        forEach(pool, plain.size(), [&](std::size_t k) {
+        forEach(pool, jobs.size(), [&](std::size_t k) {
             const obs::ScopedTimer scenarioTimer{
                 metrics, "sweep.scenario_seconds"};
-            const PlainJob& job = plain[k];
+            const ScenarioJob& job = jobs[k];
             // The job's stream was advanced through filterFor at plan
             // time exactly as assess() advances its own; scoring from a
             // lane-local copy continues it where assess() would.
             net::Rng rng = job.rng;
-            slots[job.slot].emplace(analyzer.assessWithOracle(
-                job.event, *oracles[job.oracleIndex].oracle, rng));
+            const OracleJob& oracle = oracles[job.oracleIndex];
+            slots[job.slot].emplace(
+                job.substrate->analyzer().assessWithOracle(
+                    job.event, *oracle.oracle, rng));
             if (options_.scenarioAggregates) {
+                // An overlay may override the content config, so it
+                // scores its own catalog's locality.
+                const double localShare =
+                    job.substrate == substrate_
+                        ? baselineLocalShare
+                        : content::LocalityAnalyzer{job.substrate->catalog()}
+                              .overallLocalShare();
                 const outage::ImpactReport& report = slots[job.slot]->value();
                 aggSlots[job.slot].emplace(ScenarioAggregates{
                     meanCountryLoss(report), report.resolutionDays(),
-                    oracles[job.oracleIndex].detourShare,
-                    baselineLocalShare});
+                    oracle.detourShare, localShare});
             }
         }, options_.cancel);
-        if (!plain.empty()) {
-            obs::Trace::count(trace, "scenario", plain.size());
+        if (!jobs.empty()) {
+            obs::Trace::count(trace, "scenario", jobs.size());
         }
     }
 
@@ -293,71 +317,6 @@ ScenarioSweepEngine::run(std::span<const core::ScenarioSpec> scenarios) const {
                 result.stats.dirtyDestinations +=
                     job.oracle->resolvedDirtyDestinations();
             }
-        }
-    }
-
-    // ---- overlay: scenarios that change a derived layer re-derive it ----
-    {
-        checkpoint();
-        const obs::Span overlaySpan = obs::Trace::enter(trace, "overlay");
-        forEach(pool, overlay.size(), [&](std::size_t k) {
-            const obs::ScopedTimer scenarioTimer{
-                metrics, "sweep.scenario_seconds"};
-            const std::size_t slot = overlay[k];
-            const core::ScenarioSpec& spec = scenarios[slot];
-            // The derived analyzer borrows the substrate's baseline
-            // oracle, so deriving the overlay builds no routing state;
-            // nothing below reaches its accelerators (no assess(), no
-            // pool-parallel build inside this lane).
-            const core::Substrate derived = substrate_->withOverlay(spec);
-            // makeEvent resolves against the *augmented* registry and
-            // canonicalizes the cut set; a cut-free event is an add-only
-            // build-out future, scored against the overlay's own
-            // (augmented) baseline.
-            auto event = spec.makeEvent(derived.registry());
-            if (!event) {
-                slots[slot].emplace(event.error());
-                return;
-            }
-            // Mirror WhatIfEngine::assess() draw for draw — a fresh
-            // seed+7 stream advanced through filterFor, then scoring — but
-            // resolve the degraded oracle incrementally from the shared
-            // baseline (oracle content depends only on topology + filter,
-            // so results are byte-identical to a from-scratch build).
-            const outage::ImpactAnalyzer& overlayAnalyzer = derived.analyzer();
-            net::Rng rng{substrate_->seed() + 7};
-            const route::LinkFilter filter =
-                overlayAnalyzer.filterFor(*event, rng);
-            std::shared_ptr<const route::RouteOracle> degraded;
-            if (filter.empty()) {
-                degraded = overlayAnalyzer.baselineOracle();
-            } else if (incremental) {
-                degraded = overlayAnalyzer.baselineOracle()->deriveFiltered(
-                    filter, nullptr);
-            } else {
-                degraded = route::buildOracle(
-                    substrate_->topology(),
-                    substrate_->impactConfig().routeStorage, filter, nullptr,
-                    substrate_->impactConfig().shardedRouting);
-            }
-            slots[slot].emplace(
-                overlayAnalyzer.assessWithOracle(*event, *degraded, rng));
-            if (options_.scenarioAggregates) {
-                const outage::ImpactReport& report = slots[slot]->value();
-                const core::ConnectivityStudies studies{
-                    substrate_->topology(), *degraded};
-                net::Rng detourRng{substrate_->seed() + 11};
-                aggSlots[slot].emplace(ScenarioAggregates{
-                    meanCountryLoss(report), report.resolutionDays(),
-                    studies.detourStudy(options_.detourSamplePairs, detourRng)
-                        .overallDetourShare,
-                    content::LocalityAnalyzer{derived.catalog()}
-                        .overallLocalShare()});
-            }
-        }, options_.cancel);
-        result.stats.overlayScenarios = overlay.size();
-        if (!overlay.empty()) {
-            obs::Trace::count(trace, "scenario", overlay.size());
         }
     }
 

@@ -32,9 +32,6 @@ struct SweepOptions {
     /// shares) — the inputs of weighted batch aggregation. Off by
     /// default: plain impact sweeps don't pay the path-sampling cost.
     bool scenarioAggregates = false;
-    /// Eyeball pairs sampled per unique routing state for detourShare
-    /// (fixed seed, so the share is deterministic for a given substrate).
-    std::size_t detourSamplePairs = 128;
     /// Optional trace (not owned). obs::Trace is single-threaded by
     /// design, so the sweep touches it only from the coordinating
     /// thread: phase spans plus an aggregated per-scenario count node.
@@ -64,7 +61,8 @@ struct SweepStats {
     /// full recompute would have multiplied by topology size).
     std::size_t dirtyDestinations = 0;
     /// Scenarios that changed a derived layer (cables added / config
-    /// overrides) and therefore re-derived their stack per scenario.
+    /// overrides) and therefore re-derived their layers per scenario
+    /// (their degraded routing states dedupe and cache like any other).
     std::size_t overlayScenarios = 0;
     /// Seconds the batch took on the substrate registry's clock (the
     /// process SteadyClock without one), measured around run() (also
@@ -170,9 +168,11 @@ struct BatchSweepResult {
 /// WhatIfEngine::assess — the equivalence the differential harness in
 /// tests/sweep locks — but sharing everything shareable:
 ///
-///  * scenarios with the same cut-set digest share one degraded oracle
+///  * scenarios with the same filter digest share one degraded oracle
 ///    (and the substrate's OracleCache, when wired, shares them across
-///    sweeps);
+///    sweeps) — overlay scenarios included: an overlay re-derives its
+///    own layers, but never the AS graph, so its degraded routing state
+///    is keyed like a plain scenario's;
 ///  * unique cut sets are re-solved *incrementally* from the substrate's
 ///    baseline oracle (RouteOracle::deriveFiltered) — only destinations
 ///    whose selected route forest crosses a failed link are recomputed,

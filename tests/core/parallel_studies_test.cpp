@@ -53,7 +53,7 @@ TEST(ParallelStudies, AggregatesInvariantUnderThreadCount) {
 
     for (const int threads : {1, 2, 8}) {
         exec::WorkerPool pool{threads};
-        const route::PathOracle oracle{topo, route::LinkFilter{}, pool};
+        const route::PathOracle oracle{topo, route::LinkFilter{}, &pool};
         const ConnectivityStudies refStudies{topo, reference};
         const ConnectivityStudies parStudies{topo, oracle};
 

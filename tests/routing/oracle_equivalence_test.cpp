@@ -102,8 +102,8 @@ void runGridPoint(std::uint64_t seed, bool small) {
             (small ? " small" : " default") +
             " filter=" + std::to_string(filterIdx++);
         const PathOracle reference{topo, filter}; // sequential
-        const PathOracle parallel2{topo, filter, pool2};
-        const PathOracle parallel8{topo, filter, pool8};
+        const PathOracle parallel2{topo, filter, &pool2};
+        const PathOracle parallel8{topo, filter, &pool8};
         expectByteIdentical(reference, parallel2, label + " threads=2");
         expectByteIdentical(reference, parallel8, label + " threads=8");
     }
@@ -129,7 +129,7 @@ TEST(OracleEquivalence, RepeatedParallelBuildsAreDeterministic) {
     exec::WorkerPool pool{8};
     const PathOracle reference{topo, filter};
     for (int run = 0; run < 5; ++run) {
-        const PathOracle rebuilt{topo, filter, pool};
+        const PathOracle rebuilt{topo, filter, &pool};
         expectByteIdentical(reference, rebuilt,
                             "run " + std::to_string(run));
     }

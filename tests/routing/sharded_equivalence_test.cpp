@@ -260,10 +260,10 @@ TEST(ShardedEquivalence, DenseCeilingThrowsTypedCapacityError) {
         topo::TopologyGenerator{sizedConfig(3, true)}.generate();
     // 5 bytes per AS pair: a one-kilobyte ceiling cannot hold any real
     // topology, and the failure must be the typed pre-allocation error.
-    EXPECT_THROW((PathOracle{topo, LinkFilter{}, std::size_t{1024}}),
+    EXPECT_THROW((PathOracle{topo, LinkFilter{}, nullptr, std::size_t{1024}}),
                  net::CapacityError);
     exec::WorkerPool pool{2};
-    EXPECT_THROW((PathOracle{topo, LinkFilter{}, pool, std::size_t{1024}}),
+    EXPECT_THROW((PathOracle{topo, LinkFilter{}, &pool, std::size_t{1024}}),
                  net::CapacityError);
 }
 

@@ -178,6 +178,27 @@ TEST(ObservatoryService, AllocPressureShrinksCacheAndShedsHeavyKinds) {
     EXPECT_EQ(recovered.get().status, ResponseStatus::Ok);
 }
 
+TEST(ServiceSnapshot, ResidentBytesCountEachOracleOnce) {
+    // The analyzer takes its baseline from the snapshot's cache, so the
+    // baseline is a cache entry too: a fresh snapshot holds one oracle.
+    SnapshotConfig snapConfig;
+    snapConfig.cacheCapacity = 1;
+    const auto snapshot = tinySnapshot(31, snapConfig);
+    const route::RouteOracle& baseline =
+        *snapshot->substrate().analyzer().baselineOracle();
+    EXPECT_EQ(snapshot->residentBytes(), baseline.memoryBytes());
+
+    // A derived entry evicts the baseline from the capacity-1 cache; the
+    // snapshot still keeps the baseline alive beside it.
+    (void)sweep::ScenarioSweepEngine{snapshot->substrate()}.run(
+        cableCuts({"WACS"}));
+    const route::OracleCacheStats stats = snapshot->cache().stats();
+    ASSERT_EQ(stats.evictions, 1u);
+    ASSERT_EQ(stats.entries, 1u);
+    EXPECT_EQ(snapshot->residentBytes(),
+              baseline.memoryBytes() + stats.retainedBytes);
+}
+
 TEST(ObservatoryService, QueueFullRejectsWithRetryAfter) {
     ServiceConfig config;
     config.admission.queueCapacity = 2;

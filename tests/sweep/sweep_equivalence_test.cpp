@@ -229,7 +229,8 @@ TEST(SweepEquivalence, MalformedScenariosDegradeOnlyTheirSlot) {
     EXPECT_TRUE(result.scenarios[0].outcome.value() ==
                 result.scenarios[3].outcome.value());
     // The malformed override is caught at validation, never inside an
-    // overlay lane (where it would re-derive layers from bad shares).
+    // overlay derivation (where it would re-derive layers from bad
+    // shares).
     ASSERT_FALSE(result.scenarios[4].outcome.hasValue());
     EXPECT_EQ(result.scenarios[4].outcome.error().kind,
               net::Error::Kind::Precondition);
@@ -286,6 +287,54 @@ TEST(SweepEquivalence, OverlayScenariosMatchPerScenarioEngines) {
     }
 }
 
+TEST(SweepEquivalence, OverlayScenariosShareThePlainDedupeAndCache) {
+    // A DNS override re-derives the resolvers but not the link map, so
+    // the overlay's cut compiles to the plain cut's filter: one degraded
+    // routing state for both, in the batch and in the cache.
+    const topo::Topology topo =
+        topo::TopologyGenerator{sizedConfig(13, true)}.generate();
+    std::vector<core::ScenarioSpec> specs(2);
+    specs[0].name = "plain";
+    specs[0].cutCables = {"WACS"};
+    specs[1].name = "dns-override";
+    specs[1].cutCables = {"WACS"};
+    specs[1].dnsOverride = dns::DnsConfig::defaults();
+    for (auto& profile : specs[1].dnsOverride->africa) {
+        profile = dns::ResolverProfile{0.6, 0.1, 0.2, 0.05, 0.05};
+    }
+
+    // The per-scenario references run cacheless, so they leave the
+    // sweep's cache cold.
+    const core::Substrate plain{
+        topo, phys::CableRegistry::africanDefaults(),
+        dns::DnsConfig::defaults(), content::ContentConfig::defaults()};
+    const auto refs = referenceReports(plain, specs);
+    const SweepResult uncached = ScenarioSweepEngine{plain}.run(specs);
+    expectMatchesReference(uncached, refs, "uncached");
+    EXPECT_EQ(uncached.stats.overlayScenarios, 1U);
+    EXPECT_EQ(uncached.stats.incrementalBuilds, 1U);
+    EXPECT_EQ(uncached.stats.dedupHits, 1U);
+
+    route::OracleCache cache{topo, 8};
+    core::Substrate::Options options;
+    options.oracleCache = &cache;
+    const core::Substrate cached{
+        topo, phys::CableRegistry::africanDefaults(),
+        dns::DnsConfig::defaults(), content::ContentConfig::defaults(),
+        options};
+    const ScenarioSweepEngine engine{cached};
+    const SweepResult cold = engine.run(specs);
+    expectMatchesReference(cold, refs, "cold");
+    EXPECT_EQ(cold.stats.overlayScenarios, 1U);
+    EXPECT_EQ(cold.stats.incrementalBuilds, 1U);
+    EXPECT_EQ(cold.stats.dedupHits, 1U);
+
+    const SweepResult warm = engine.run(specs);
+    expectMatchesReference(warm, refs, "warm");
+    EXPECT_EQ(warm.stats.incrementalBuilds, 0U);
+    EXPECT_EQ(warm.stats.dedupHits, 2U);
+}
+
 /// FNV-1a over every field of every report, doubles bit for bit.
 std::uint64_t reportsDigest(std::span<const outage::ImpactReport> reports) {
     persist::ByteWriter out;
@@ -308,8 +357,8 @@ std::uint64_t reportsDigest(std::span<const outage::ImpactReport> reports) {
 
 TEST(SweepEquivalence, OverlayShapesMatchAPinnedDigest) {
     // Both sides of the overlay differential — per-scenario engines and
-    // the sweep's overlay lane — against a checked-in constant, one
-    // scenario per overlay shape, so neither side can move unnoticed.
+    // the sweep — against a checked-in constant, one scenario per
+    // overlay shape, so neither side can move unnoticed.
     const topo::Topology topo =
         topo::TopologyGenerator{sizedConfig(13, true)}.generate();
     const core::Substrate substrate{
